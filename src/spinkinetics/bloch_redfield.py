@@ -1,29 +1,30 @@
 """Second-order relaxation supermatrix from couplings and bath spectra.
 
-The relaxation generator is assembled as R = (R_a + R_b)/2 from the two
-standard second-order contributions
+The generator takes the standard sum_w J(w) A(w) form (Redfield 1957; Breuer &
+Petruccione, The Theory of Open Quantum Systems, ch. 3). Each Hermitian
+coupling L_i is paired with two filtered operators built from the eigenoperator
+components C_{i'}^r of all couplings at the Bohr frequencies w_r of H,
 
-    R_a rho = sum_{n n' r} J_{n'n}(w_r) [[C_{n'}^r, rho], L_n]
-    R_b rho = sum_{n n' r} J_{n'n}(w_r) tanh(beta w_r / 2) [L_n, [C_{n'}^r, rho]_+]
+    Lambda_i = sum_{i' r} J_{i'i}(w_r) C_{i'}^r
+    Theta_i  = sum_{i' r} J_{i'i}(w_r) tanh(beta w_r / 2) C_{i'}^r
 
-where L_n are the Hermitian coupling operators, C_n^r their eigenoperator
-components at the Bohr frequencies w_r of the system Hamiltonian, and
-J_{nn'}(w) the symmetrised bath spectra. Detailed balance enters only through
-the explicit tanh factor, so the spectra themselves are even in frequency.
-Frequency (Lamb-type) shifts are dropped throughout: only the real relaxation
-rates are produced.
+with J_{i'i} the symmetrised bath spectra, and R = (R_a + R_b)/2 where
+R_a rho = sum_i [[Lambda_i, rho], L_i] and R_b rho = sum_i [L_i, [Theta_i, rho]_+].
+Detailed balance enters only through the tanh factor, so the spectra are even
+in frequency. Frequency (Lamb-type) shifts are dropped: only the real
+relaxation rates are produced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .liouville import BasisLabel, OperatorMatrix, Superoperator, hermitian_defect
+from .liouville import OperatorMatrix, Superoperator
 
 #: relative tolerance used to merge nearly degenerate Bohr frequencies
 FREQUENCY_BIN_RTOL = 1e-9
@@ -227,17 +228,20 @@ class FrequencyComponent:
     matrix: OperatorMatrix
 
 
-def _cluster_frequencies(freqs: np.ndarray, threshold: float) -> np.ndarray:
-    """Representative frequency per cluster, exactly antisymmetric under negation."""
+def _cluster_frequencies(freqs: np.ndarray, threshold: float):
+    """Cluster label per frequency and a representative per cluster.
+
+    Sorted neighbours closer than ``threshold`` chain into one cluster; the
+    representatives are exactly antisymmetric under negation.
+    """
     order = np.argsort(freqs)
     sorted_f = freqs[order]
-    reps = []
-    start = 0
-    for k in range(1, sorted_f.size + 1):
-        if k == sorted_f.size or sorted_f[k] - sorted_f[k - 1] > threshold:
-            reps.append(float(np.mean(sorted_f[start:k])))
-            start = k
-    reps = np.array(reps)
+    breaks = np.diff(sorted_f) > threshold
+    labels = np.empty(freqs.size, dtype=int)
+    labels[order] = np.concatenate(([0], np.cumsum(breaks)))
+    reps = np.array(
+        [float(np.mean(c)) for c in np.split(sorted_f, np.flatnonzero(breaks) + 1)]
+    )
     # the multiset of Bohr frequencies is symmetric under negation; enforce the
     # pairing exactly so adjoint components land at exactly opposite frequencies
     n = reps.size
@@ -248,7 +252,7 @@ def _cluster_frequencies(freqs: np.ndarray, threshold: float) -> np.ndarray:
     mid = n // 2
     if n % 2 == 1 and abs(reps[mid]) <= threshold:
         reps[mid] = 0.0
-    return reps
+    return reps, labels
 
 
 def frequency_decompose(
@@ -259,9 +263,10 @@ def frequency_decompose(
     """Split a coupling operator into eigenoperator components of H.
 
     Each component collects the matrix elements <j|L|j'> whose Bohr frequency
-    nu_j - nu_j' falls into one bin (bins merge frequencies closer than
-    ``tol * max|nu|``). Components sum back to the full operator; the adjoint
-    of the component at +w is the component at -w.
+    nu_j - nu_j' falls into one bin (bins chain together frequencies closer
+    than ``tol * max|nu|``). Every element lands in exactly one bin, so the
+    components sum back to the full operator; the adjoint of the component at
+    +w is the component at -w.
     """
     lam = coupling.matrix if isinstance(coupling, CouplingOperator) else coupling
     if h.basis != lam.basis:
@@ -273,13 +278,13 @@ def frequency_decompose(
     freq_matrix = evals[:, None] - evals[None, :]
     scale = float(np.abs(evals).max())
     threshold = tol * (scale if scale > 0 else 1.0)
-    reps = _cluster_frequencies(freq_matrix.reshape(-1), threshold)
+    reps, labels = _cluster_frequencies(freq_matrix.reshape(-1), threshold)
+    labels = labels.reshape(freq_matrix.shape)
 
     drop_scale = float(np.abs(lam.entries).max())
     components = []
-    for f in reps:
-        mask = np.abs(freq_matrix - f) <= threshold + 1e-300
-        block = np.where(mask, lam_eig, 0.0)
+    for k, f in enumerate(reps):
+        block = np.where(labels == k, lam_eig, 0.0)
         comp = vecs @ block @ vecs.conj().T
         if drop_scale > 0 and np.abs(comp).max() <= COMPONENT_DROP_RTOL * drop_scale:
             continue
@@ -291,68 +296,55 @@ def frequency_decompose(
 # relaxation supermatrix assembly
 # ---------------------------------------------------------------------------
 
-def _double_commutator_matrix(comp: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Supermatrix of rho -> [[C, rho], L]."""
-    eye = np.eye(lam.shape[0])
-    return (
-        np.kron(comp, lam.T)
-        + np.kron(lam, comp.T)
-        - np.kron(eye, (comp @ lam).T)
-        - np.kron(lam @ comp, eye)
-    )
-
-
-def _commutator_anticommutator_matrix(comp: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Supermatrix of rho -> [L, [C, rho]_+]."""
-    eye = np.eye(lam.shape[0])
-    return (
-        np.kron(lam @ comp, eye)
-        + np.kron(lam, comp.T)
-        - np.kron(comp, lam.T)
-        - np.kron(eye, (comp @ lam).T)
-    )
-
-
-def _relaxation_parts(bath: BathSpec, h: OperatorMatrix):
+def _filtered_operators(bath: BathSpec, h: OperatorMatrix):
+    """(L_i, Lambda_i, Theta_i) for every coupling i (see the module docstring)."""
     if bath.basis != h.basis:
         raise DimensionMismatchError("bath and Hamiltonian live on different bases")
-    d2 = h.dim * h.dim
-    part_a = np.zeros((d2, d2), dtype=complex)
-    part_b = np.zeros((d2, d2), dtype=complex)
     comps = [frequency_decompose(h, c) for c in bath.couplings]
-    for ip in range(len(bath.couplings)):
-        for i, coupling in enumerate(bath.couplings):
+    for i, coupling in enumerate(bath.couplings):
+        lambda_i = np.zeros((h.dim, h.dim), dtype=complex)
+        theta_i = np.zeros((h.dim, h.dim), dtype=complex)
+        for ip in range(len(bath.couplings)):
             dens = bath.density(ip, i)
-            lam = coupling.matrix.entries
             for comp in comps[ip]:
                 j = float(dens.value(comp.omega))
-                if j == 0.0:
-                    continue
-                part_a += j * _double_commutator_matrix(comp.matrix.entries, lam)
-                th = thermal_factor(bath.beta, comp.omega)
-                if th != 0.0:
-                    part_b += (j * th) * _commutator_anticommutator_matrix(
-                        comp.matrix.entries, lam
-                    )
-    return part_a, part_b
+                lambda_i += j * comp.matrix.entries
+                theta_i += (j * thermal_factor(bath.beta, comp.omega)) * comp.matrix.entries
+        yield coupling.matrix.entries, lambda_i, theta_i
+
+
+def _relaxation_super(l: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Supermatrix of rho -> B rho L + L rho A - rho A L - L B rho.
+
+    R_a, R_b and R are its sums over couplings at (A, B) = (Lambda, Lambda),
+    (Theta, -Theta) and (Lambda + Theta, Lambda - Theta) / 2.
+    """
+    eye = np.eye(l.shape[0])
+    return (
+        np.kron(b, l.T)
+        + np.kron(l, a.T)
+        - np.kron(eye, (a @ l).T)
+        - np.kron(l @ b, eye)
+    )
 
 
 def double_commutator_part(bath: BathSpec, h: OperatorMatrix) -> Superoperator:
-    """The temperature-independent half of the relaxation generator."""
-    part_a, _ = _relaxation_parts(bath, h)
-    return Superoperator(h.basis, part_a)
+    """The temperature-independent half: sum_i [[Lambda_i, rho], L_i]."""
+    ops = _filtered_operators(bath, h)
+    return Superoperator(h.basis, sum(_relaxation_super(l, lm, lm) for l, lm, _ in ops))
 
 
 def thermal_part(bath: BathSpec, h: OperatorMatrix) -> Superoperator:
-    """The detailed-balance half, weighted by tanh(beta w / 2)."""
-    _, part_b = _relaxation_parts(bath, h)
-    return Superoperator(h.basis, part_b)
+    """The detailed-balance half: sum_i [L_i, [Theta_i, rho]_+]."""
+    ops = _filtered_operators(bath, h)
+    return Superoperator(h.basis, sum(_relaxation_super(l, th, -th) for l, _, th in ops))
 
 
 def relaxation_supermatrix(bath: BathSpec, h: OperatorMatrix) -> Superoperator:
     """Full relaxation generator: half the sum of the two parts."""
-    part_a, part_b = _relaxation_parts(bath, h)
-    return Superoperator(h.basis, 0.5 * (part_a + part_b))
+    ops = _filtered_operators(bath, h)
+    r = sum(_relaxation_super(l, lm + th, lm - th) for l, lm, th in ops)
+    return Superoperator(h.basis, 0.5 * r)
 
 
 # ---------------------------------------------------------------------------

@@ -267,18 +267,6 @@ class Superoperator:
 # superoperator constructors
 # ---------------------------------------------------------------------------
 
-def left_product_super(a: OperatorMatrix) -> Superoperator:
-    """rho -> A rho."""
-    eye = np.eye(a.dim)
-    return Superoperator(a.basis, np.kron(a.entries, eye))
-
-
-def right_product_super(a: OperatorMatrix) -> Superoperator:
-    """rho -> rho A."""
-    eye = np.eye(a.dim)
-    return Superoperator(a.basis, np.kron(eye, a.entries.T))
-
-
 def conjugation_super(a: OperatorMatrix, b: OperatorMatrix) -> Superoperator:
     """rho -> A rho B."""
     _check_same_basis(a, b, "conjugation_super")

@@ -565,7 +565,9 @@ def closed_loop_check(
         beta=0.0,
     )
     r = relaxation_supermatrix(bath, h)
-    w11_assembled = -float(r.matrix[4, 4].real)  # vec index of rho_11
+    one = basis.index("1")
+    rho11 = one * basis.dim + one  # row-major vec index of rho_11
+    w11_assembled = -float(r.matrix[rho11, rho11].real)
     rel = abs(w11_assembled - rates.w11) / rates.w11
     return ClosedLoopReport(
         rates=rates,

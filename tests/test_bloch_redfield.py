@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from _util import random_density, random_hermitian
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinkinetics import (
     BasisLabel,
@@ -20,6 +22,7 @@ from spinkinetics import (
     thermal_part,
     validity_check,
 )
+from spinkinetics.bloch_redfield import FREQUENCY_BIN_RTOL, _cluster_frequencies
 from spinkinetics.three_state import THREE_STATE_BASIS, ThreeStateParams, build_bath
 
 B4 = BasisLabel(("a", "b", "c", "d"))
@@ -101,6 +104,17 @@ class TestFrequencyDecompose:
                 partner = comps[int(np.argmin(np.abs(freqs + c.omega)))]
                 assert partner.omega == -c.omega
                 assert np.abs(c.matrix.entries.conj().T - partner.matrix.entries).max() < 1e-11
+
+    def test_chained_near_degenerate_cluster_keeps_every_element(self):
+        # sorted neighbours 0.6e-9 apart chain into clusters 2.4e-9 wide, wider
+        # than twice the 1e-9 merge threshold
+        rng = np.random.default_rng(25)
+        h = OperatorMatrix(B4, np.diag([0.0, 0.6e-9, 1.2e-9, 1.0]))
+        lam = OperatorMatrix(B4, random_hermitian(4, rng))
+        comps = frequency_decompose(h, lam)
+        total = sum(c.matrix.entries for c in comps)
+        assert np.abs(total - lam.entries).max() < 1e-12
+        assert sorted(c.omega for c in comps) == pytest.approx([-1.0, 0.0, 1.0], abs=1e-8)
 
     def test_non_hermitian_hamiltonian_rejected(self):
         m = np.zeros((3, 3), dtype=complex)
@@ -245,3 +259,198 @@ class TestValidityCheck:
 
         with pytest.raises(ValidationError):
             validity_check(Superoperator.zero(THREE_STATE_BASIS), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# property tests against the per-component reference assembly
+# ---------------------------------------------------------------------------
+
+def _ref_double_commutator(comp, lam):
+    """Supermatrix of rho -> [[C, rho], L]."""
+    eye = np.eye(lam.shape[0])
+    return (
+        np.kron(comp, lam.T)
+        + np.kron(lam, comp.T)
+        - np.kron(eye, (comp @ lam).T)
+        - np.kron(lam @ comp, eye)
+    )
+
+
+def _ref_commutator_anticommutator(comp, lam):
+    """Supermatrix of rho -> [L, [C, rho]_+]."""
+    eye = np.eye(lam.shape[0])
+    return (
+        np.kron(lam @ comp, eye)
+        + np.kron(lam, comp.T)
+        - np.kron(comp, lam.T)
+        - np.kron(eye, (comp @ lam).T)
+    )
+
+
+def _reference_parts(bath, h):
+    """Both parts summed one eigenoperator component at a time."""
+    d2 = h.dim * h.dim
+    part_a = np.zeros((d2, d2), dtype=complex)
+    part_b = np.zeros((d2, d2), dtype=complex)
+    comps = [frequency_decompose(h, c) for c in bath.couplings]
+    for ip in range(len(bath.couplings)):
+        for i, coupling in enumerate(bath.couplings):
+            dens = bath.density(ip, i)
+            lam = coupling.matrix.entries
+            for comp in comps[ip]:
+                j = float(dens.value(comp.omega))
+                if j == 0.0:
+                    continue
+                part_a += j * _ref_double_commutator(comp.matrix.entries, lam)
+                th = thermal_factor(bath.beta, comp.omega)
+                if th != 0.0:
+                    part_b += (j * th) * _ref_commutator_anticommutator(
+                        comp.matrix.entries, lam
+                    )
+    return part_a, part_b
+
+
+def _random_unitary(n, rng):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+#: rad/s scale of the drawn spectra; the merge threshold is FREQUENCY_BIN_RTOL of it
+_OMEGA = 1e9
+
+
+@st.composite
+def _levels(draw, n):
+    """Random levels, or levels chained a few merge thresholds apart."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if not draw(st.booleans()):
+        return _OMEGA * rng.normal(size=n)
+    n_clusters = draw(st.integers(1, n))
+    centres = rng.normal(size=n_clusters)
+    offsets = draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n))
+    unit = FREQUENCY_BIN_RTOL * np.abs(centres).max()
+    return _OMEGA * (centres[np.arange(n) % n_clusters] + unit * np.array(offsets))
+
+
+def _density(draw, rng):
+    kind = draw(st.sampled_from(["lorentzian", "white", "tabulated"]))
+    amplitude = 1e17 * (0.1 + rng.random())
+    if kind == "lorentzian":
+        return Lorentzian(amplitude, (0.1 + 5 * rng.random()) / _OMEGA)
+    if kind == "white":
+        return WhiteNoise(amplitude / _OMEGA)
+    grid = np.linspace(0.0, 4 * _OMEGA, 9)
+    return Tabulated(grid, amplitude / _OMEGA * rng.random(grid.size))
+
+
+@st.composite
+def baths(draw):
+    """(H, bath) with random or near-degenerate H and a diagonal or full grid."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = BasisLabel(tuple(f"s{k}" for k in range(n)))
+    u = _random_unitary(n, rng)
+    h = OperatorMatrix(basis, u @ np.diag(draw(_levels(n))) @ u.conj().T)
+    couplings = [
+        CouplingOperator(f"c{k}", OperatorMatrix(basis, random_hermitian(n, rng)), k)
+        for k in range(m)
+    ]
+    beta = draw(st.sampled_from([0.0, math.inf, 1.0 / _OMEGA, 0.1 / _OMEGA, 5.0 / _OMEGA]))
+    if draw(st.booleans()):
+        return h, BathSpec.uncorrelated(couplings, [_density(draw, rng) for _ in range(m)], beta)
+    grid = [[None] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a, m):
+            grid[a][b] = grid[b][a] = _density(draw, rng)
+    return h, BathSpec(couplings, grid, beta)
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _close(new, ref):
+    return np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _adjoint_permutation(n):
+    """P with vec(rho^T) = P vec(rho), row-major."""
+    idx = np.arange(n * n).reshape(n, n)
+    return np.eye(n * n)[idx.T.reshape(-1)]
+
+
+class TestAssemblyProperties:
+    @_PROPERTY
+    @given(baths())
+    def test_matches_per_component_reference(self, hb):
+        h, bath = hb
+        part_a, part_b = _reference_parts(bath, h)
+        assert _close(double_commutator_part(bath, h).matrix, part_a)
+        assert _close(thermal_part(bath, h).matrix, part_b)
+        assert _close(relaxation_supermatrix(bath, h).matrix, 0.5 * (part_a + part_b))
+
+    @_PROPERTY
+    @given(baths())
+    def test_trace_flux_and_hermiticity_preservation(self, hb):
+        h, bath = hb
+        n = h.dim
+        p = _adjoint_permutation(n)
+        for part in (relaxation_supermatrix(bath, h), double_commutator_part(bath, h),
+                     thermal_part(bath, h)):
+            r = part.matrix
+            tol = 1e-12 * np.abs(r).max()
+            diagonal = [k * n + k for k in range(n)]
+            assert np.abs(r[diagonal, :].sum(axis=0)).max() <= tol
+            # R(rho^dag) = R(rho)^dag for every rho
+            assert np.abs(r - p @ r.conj() @ p).max() <= tol
+
+    @_PROPERTY
+    @given(baths())
+    def test_components_pair_at_opposite_frequencies(self, hb):
+        h, bath = hb
+        for coupling in bath.couplings:
+            lam = coupling.matrix.entries
+            comps = frequency_decompose(h, coupling)
+            total = sum(c.matrix.entries for c in comps)
+            assert np.abs(total - lam).max() <= 1e-10 * np.abs(lam).max()
+            by_omega = {c.omega: c.matrix.entries for c in comps}
+            assert len(by_omega) == len(comps)
+            for omega, entries in by_omega.items():
+                assert np.abs(by_omega[-omega] - entries.conj().T).max() <= 1e-12 * np.abs(
+                    lam
+                ).max()
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-9, math.inf])
+    def test_three_state_bath_matches_reference_exactly(self, beta):
+        h, bath = build_bath(_transverse_params(beta=beta))
+        part_a, part_b = _reference_parts(bath, h)
+        assert np.array_equal(relaxation_supermatrix(bath, h).matrix, 0.5 * (part_a + part_b))
+
+
+@st.composite
+def _chained_spectra(draw):
+    """Levels whose gaps sit near the merge threshold, shifted off centre."""
+    gaps = draw(
+        st.lists(
+            st.one_of(st.floats(0.0, 3.0 * FREQUENCY_BIN_RTOL), st.floats(1e-3, 1.0)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    shift = draw(st.floats(-2.0, 2.0))
+    return np.concatenate(([0.0], np.cumsum(gaps))) + shift
+
+
+class TestClusterPairing:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_chained_spectra())
+    def test_clusters_antisymmetric_under_negation(self, levels):
+        freq = levels[:, None] - levels[None, :]
+        threshold = FREQUENCY_BIN_RTOL * (np.abs(levels).max() or 1.0)
+        reps, labels = _cluster_frequencies(freq.reshape(-1), threshold)
+        labels = labels.reshape(freq.shape)
+        n = reps.size
+        assert np.array_equal(reps, -reps[::-1])
+        # the element at -w sits in the mirror cluster of the element at +w
+        assert np.array_equal(labels.T, n - 1 - labels)
+        assert np.all(np.diff(reps) > 0)
