@@ -154,6 +154,26 @@ def _series_table(times, names, columns):
     }
 
 
+def _state_series(gen, rho0, params, available):
+    """Propagate rho0 on the configured grid and slice the observables off it.
+
+    ``available`` maps each observable to None (the trace) or to a label pair
+    (row, col): a population when row == col, else a coherence magnitude.
+    """
+    times = _parse_time_grid(params["time_grid"], "parameters.time_grid")
+    prop = propagate(gen, rho0, times)
+
+    def column(pair):
+        if pair is None:
+            return prop.traces()
+        z = prop.coherence(*pair)
+        # hypot, not np.abs: it rounds exactly like Python's abs(complex)
+        return z.real if pair[0] == pair[1] else np.hypot(z.real, z.imag)
+
+    names = _observables(params, "parameters", available)
+    return _series_table(prop.times, names, [column(available[c]).tolist() for c in names])
+
+
 def _validity_block(superop, tau_c):
     if tau_c is None:
         return {"ratio": None, "tau_c_s": None, "pass": None, "strong_pass": None}
@@ -175,8 +195,9 @@ _TS_KEYS = {
     "splitting_density", "isotropic", "tau_c_s", "initial_state",
     "time_grid", "observables",
 }
-_TS_COLUMNS = ("rho_00", "rho_11", "rho_22", "abs_rho_01", "abs_rho_02",
-               "abs_rho_12", "trace")
+_TS_COLUMNS = {"rho_00": ("0", "0"), "rho_11": ("1", "1"), "rho_22": ("2", "2"),
+               "abs_rho_01": ("0", "1"), "abs_rho_02": ("0", "2"), "abs_rho_12": ("1", "2"),
+               "trace": None}
 _TS_STATES = {
     "0": [1, 0, 0],
     "1": [0, 1, 0],
@@ -233,24 +254,9 @@ def _run_three_state(params: dict, seed):
     h, bath = three_state.build_bath(p)
     relax = br.relaxation_supermatrix(bath, h)
     tau_c = params.get("tau_c_s")
-    times = _parse_time_grid(params["time_grid"], "parameters.time_grid")
     rho0 = DensityMatrix.pure(three_state.THREE_STATE_BASIS,
                               _TS_STATES[params["initial_state"]])
-    prop = propagate(assemble_generator(h, relaxers=[relax]), rho0, times[times > 0])
-    full_times = np.concatenate([[0.0], prop.times]) if times[0] == 0 else prop.times
-    states = ([rho0] + list(prop.states)) if times[0] == 0 else list(prop.states)
-
-    def column(name):
-        if name.startswith("rho_"):
-            i = name[4]
-            return [s.population(i) for s in states]
-        if name.startswith("abs_rho_"):
-            i, j = name[-2], name[-1]
-            return [abs(s.coherence(i, j)) for s in states]
-        return [s.trace() for s in states]
-
-    cols = _observables(params, "parameters", _TS_COLUMNS)
-    series = _series_table(full_times, cols, [column(c) for c in cols])
+    series = _state_series(assemble_generator(h, relaxers=[relax]), rho0, params, _TS_COLUMNS)
     results = {
         "rates": {
             "w11_per_s": rates.w11,
@@ -275,7 +281,8 @@ _RP_KEYS = {
     "omega_mean_rad_s", "delta_omega_rad_s", "j_exchange_rad_s", "initial_state",
     "time_grid", "compute_yields", "tau_c_s", "observables",
 }
-_RP_COLUMNS = ("rho_SS", "rho_TpTp", "rho_T0T0", "rho_TmTm", "abs_rho_ST0", "trace")
+_RP_COLUMNS = {"rho_SS": ("S", "S"), "rho_TpTp": ("T+", "T+"), "rho_T0T0": ("T0", "T0"),
+               "rho_TmTm": ("T-", "T-"), "abs_rho_ST0": ("S", "T0"), "trace": None}
 _RP_STATES = {
     "S": [1, 0, 0, 0],
     "T+": [0, 1, 0, 0],
@@ -284,7 +291,6 @@ _RP_STATES = {
     "superposition_ST0": [1 / math.sqrt(2), 0, 1 / math.sqrt(2), 0],
     "mixed": None,
 }
-_RP_COLUMN_STATE = {"rho_SS": "S", "rho_TpTp": "T+", "rho_T0T0": "T0", "rho_TmTm": "T-"}
 
 
 def _normalize_radical_pair(params: dict) -> dict:
@@ -365,22 +371,7 @@ def _run_radical_pair(params: dict, seed):
     if params["compute_yields"]:
         y = radical_pair.recombination_yields(model, h, rho0)
         yields_block = {"singlet": y.singlet, "triplet": y.triplet, "total": y.total}
-    times = _parse_time_grid(params["time_grid"], "parameters.time_grid")
-    gen = radical_pair.generator(model, h)
-    prop = propagate(gen, rho0, times[times > 0])
-    full_times = np.concatenate([[0.0], prop.times]) if times[0] == 0 else prop.times
-    states = ([rho0] + list(prop.states)) if times[0] == 0 else list(prop.states)
-
-    cols = _observables(params, "parameters", _RP_COLUMNS)
-
-    def column(cname):
-        if cname in _RP_COLUMN_STATE:
-            return [s.population(_RP_COLUMN_STATE[cname]) for s in states]
-        if cname == "abs_rho_ST0":
-            return [abs(s.coherence("S", "T0")) for s in states]
-        return [s.trace() for s in states]
-
-    series = _series_table(full_times, cols, [column(c) for c in cols])
+    series = _state_series(radical_pair.generator(model, h), rho0, params, _RP_COLUMNS)
     results = {
         "rate_elements": {
             "k_SS_per_s": elements.k_ss,
@@ -700,9 +691,9 @@ def _run_point(scenario: str, params: dict, seed):
 def cmd_run(args) -> int:
     started = time.monotonic()
     doc = _load_config(args.config)
-    config = _normalize_config(doc, sweep=False)
     if args.seed is not None:
-        config["seed"] = args.seed
+        doc["seed"] = args.seed  # checked like config.seed
+    config = _normalize_config(doc, sweep=False)
     if args.out_dir is not None:
         config["output"]["dir"] = args.out_dir
     if args.format is not None:
@@ -720,16 +711,23 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_tasks(config: dict):
+def _sweep_tasks(config: dict, parameters: dict):
+    """Grid points as (index, grid values, normalised parameters, seed).
+
+    Each point is laid over the raw ``parameters`` block before it is
+    normalised, so derived keys (tau_c_s, the oracle's dt_s) follow the grid.
+    Seeds come from SeedSequence((master seed, index)): no stream is shared.
+    """
+    normalize, _ = _RUNNERS[config["scenario"]]
     grid = config["grid"]
     keys = sorted(grid)
     base_seed = config.get("seed", 0)
     for index, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
-        params = config["parameters"]
+        params = parameters
         for key, value in zip(keys, combo):
             params = _set_dotted(params, key, value)
-        # per-point seeds derived from (master seed, point index)
-        yield index, dict(zip(keys, combo)), params, base_seed + 7919 * index
+        seed = int(np.random.SeedSequence((base_seed, index)).generate_state(1)[0])
+        yield index, dict(zip(keys, combo)), normalize(params), seed
 
 
 def _sweep_worker(task):
@@ -741,17 +739,14 @@ def _sweep_worker(task):
 def cmd_sweep(args) -> int:
     started = time.monotonic()
     doc = _load_config(args.config)
-    config = _normalize_config(doc, sweep=True)
     if args.seed is not None:
-        config["seed"] = args.seed
+        doc["seed"] = args.seed  # checked like config.seed
+    config = _normalize_config(doc, sweep=True)
     if args.out_dir is not None:
         config["output"]["dir"] = args.out_dir
-    tasks = list(_sweep_tasks(config))
+    # every grid point is normalised, hence validated, before any work or output
+    tasks = list(_sweep_tasks(config, doc["parameters"]))
     scenario = config["scenario"]
-    # validate every grid point before any work or output
-    normalize, _ = _RUNNERS[scenario]
-    for _i, _combo, params, _seed in tasks:
-        normalize(params)
     payloads = [(scenario, params, seed) for _i, _c, params, seed in tasks]
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:

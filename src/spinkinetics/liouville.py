@@ -27,8 +27,11 @@ from .errors import (
 )
 
 HERMITIAN_RTOL = 1e-12
-DENSITY_EIG_FLOOR = -1e-9
+#: density matrices: Hermitian defect and |Im tr|, trace range, eigenvalue floor
+DENSITY_HERMITIAN_TOL = 1e-10
+DENSITY_TRACE_FLOOR = -1e-9
 DENSITY_TRACE_CEILING = 1.0 + 1e-9
+DENSITY_EIG_FLOOR = -1e-9
 #: eigenvalues of a decaying generator must sit below -DECAY_MARGIN * ||L||
 DECAY_MARGIN = 1e-12
 
@@ -137,15 +140,11 @@ class DensityMatrix:
             )
         if not np.all(np.isfinite(entries)):
             raise ValidationError("density matrix entries must be finite")
-        if hermitian_defect(entries) > 1e-10:
+        if (hermitian_defect(entries) > DENSITY_HERMITIAN_TOL
+                or abs(np.trace(entries).imag) > DENSITY_HERMITIAN_TOL):
             raise ValidationError("density matrix is not Hermitian")
-        tr = np.trace(entries)
-        if abs(tr.imag) > 1e-10 or tr.real < -1e-9 or tr.real > DENSITY_TRACE_CEILING:
-            raise ValidationError(f"density matrix trace {tr} outside [0, 1]")
-        if np.linalg.eigvalsh(0.5 * (entries + entries.conj().T)).min() < DENSITY_EIG_FLOOR:
-            raise ValidationError("density matrix has a negative eigenvalue")
         self.basis = basis
-        self.entries = _freeze(0.5 * (entries + entries.conj().T))
+        self.entries = _density_stack(entries[np.newaxis])[0]
 
     @classmethod
     def pure(cls, basis: BasisLabel, amplitudes) -> "DensityMatrix":
@@ -171,13 +170,6 @@ class DensityMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
-
-    def population(self, name: str) -> float:
-        i = self.basis.index(name)
-        return float(self.entries[i, i].real)
-
-    def coherence(self, row: str, col: str) -> complex:
-        return complex(self.entries[self.basis.index(row), self.basis.index(col)])
 
     def __repr__(self):
         return f"DensityMatrix(basis={self.basis.names}, entries=\n{self.entries})"
@@ -322,48 +314,74 @@ def assemble_generator(
 # propagation and infinite-time integrals
 # ---------------------------------------------------------------------------
 
+def _density_stack(stack: np.ndarray, times=None) -> np.ndarray:
+    """Hermitised, read-only copy of a (n, N, N) stack of density matrices.
+
+    Every propagation path and every DensityMatrix goes through this check.
+    Non-finite entries raise NumericalError; a trace or smallest eigenvalue
+    outside the DENSITY_* bounds raises ValidationError for the first such
+    slice, naming its time (when ``times`` is given), trace and lambda_min.
+    """
+    if not np.all(np.isfinite(stack)):
+        raise NumericalError("propagation produced non-finite entries")
+    stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    traces = np.trace(stack, axis1=1, axis2=2).real
+    lambda_min = np.linalg.eigvalsh(stack)[:, 0]
+    bad = np.flatnonzero((traces < DENSITY_TRACE_FLOOR) | (traces > DENSITY_TRACE_CEILING)
+                         | (lambda_min < DENSITY_EIG_FLOOR))
+    if bad.size:
+        k = bad[0]
+        at = "" if times is None else f" at t = {times[k]:.12g} s"
+        raise ValidationError(f"density matrix{at} is not a state: trace {traces[k]:.12g}, "
+                              f"lambda_min {lambda_min[k]:.6g} (floor {DENSITY_EIG_FLOOR:g})")
+    stack.setflags(write=False)
+    return stack
+
+
 @dataclass(frozen=True)
 class Propagation:
-    """Time-ordered sequence of states."""
+    """``states[k]`` is rho(``times[k]``): one read-only (n_times, N, N) array."""
 
+    basis: BasisLabel
     times: np.ndarray
-    states: tuple
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        times.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
-        if times.ndim != 1 or times.size != len(self.states):
-            raise ValidationError("times and states length mismatch")
-        if times.size and (times[0] < 0 or np.any(np.diff(times) <= 0)):
-            raise ValidationError("times must be nonnegative and strictly increasing")
+    states: np.ndarray
 
     def populations(self) -> np.ndarray:
         """(n_times, N) array of real diagonal entries."""
-        return np.array([s.entries.diagonal().real for s in self.states])
+        return self.states.diagonal(axis1=1, axis2=2).real
 
     def coherence(self, row: str, col: str) -> np.ndarray:
-        return np.array([s.coherence(row, col) for s in self.states])
+        return self.states[:, self.basis.index(row), self.basis.index(col)]
 
     def traces(self) -> np.ndarray:
-        return np.array([s.trace() for s in self.states])
+        return np.trace(self.states, axis1=1, axis2=2).real
 
 
 def _validated_times(times) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
+    t = np.array(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValidationError("times must be a non-empty 1-d sequence")
     if t[0] < 0 or np.any(np.diff(t) <= 0):
         raise ValidationError("times must be nonnegative and strictly increasing")
+    t.setflags(write=False)
     return t
 
 
-def _state_from_vector(basis: BasisLabel, v: np.ndarray) -> DensityMatrix:
-    rho = unvectorize(v, basis.dim)
-    if not np.all(np.isfinite(rho)):
-        raise NumericalError("propagation produced non-finite entries")
-    return DensityMatrix(basis, 0.5 * (rho + rho.conj().T))
+def _expm_steps(generator: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(n_times, len(v0)) array of exp(generator t_k) v0, stepping time to time.
+
+    One matrix exponential per distinct step length (to 15 significant digits).
+    """
+    out = np.empty((times.size, v0.size), dtype=complex)
+    cache: dict[str, np.ndarray] = {}
+    v, prev = v0, 0.0
+    for k, tk in enumerate(times):
+        key = f"{tk - prev:.15g}"
+        if key not in cache:
+            cache[key] = expm(generator * (tk - prev))
+        v = out[k] = cache[key] @ v
+        prev = tk
+    return out
 
 
 def propagate(
@@ -381,22 +399,10 @@ def propagate(
     """
     _check_same_basis(l, rho0, "propagate")
     t = _validated_times(times)
+    n = l.dim
     if method == "expm":
-        states = []
-        cache: dict[str, np.ndarray] = {}
-        v = vectorize(rho0.entries)
-        prev = 0.0
-        for tk in t:
-            dt = tk - prev
-            key = f"{dt:.15g}"
-            step = cache.get(key)
-            if step is None:
-                step = expm(l.matrix * dt)
-                cache[key] = step
-            v = step @ v
-            prev = tk
-            states.append(_state_from_vector(l.basis, v))
-        return Propagation(t, states)
+        vectors = _expm_steps(l.matrix, vectorize(rho0.entries), t)
+        return Propagation(l.basis, t, _density_stack(vectors.reshape(t.size, n, n), t))
     if method == "rk":
         m = l.matrix
         sol = solve_ivp(
@@ -410,8 +416,7 @@ def propagate(
         )
         if not sol.success:
             raise NumericalError(f"Runge-Kutta integration failed: {sol.message}")
-        states = [_state_from_vector(l.basis, sol.y[:, k]) for k in range(t.size)]
-        return Propagation(t, states)
+        return Propagation(l.basis, t, _density_stack(sol.y.T.reshape(t.size, n, n), t))
     raise ValidationError(f"unknown propagation method {method!r}")
 
 

@@ -33,6 +33,9 @@ from .liouville import (
     OperatorMatrix,
     Propagation,
     Superoperator,
+    _density_stack,
+    _expm_steps,
+    _validated_times,
     anticommutator_super,
     assemble_generator,
     infinite_time_integral,
@@ -213,9 +216,9 @@ def coherence_decay_rate(
         return CoherenceFit(rate=0.0, residual=0.0, exponential=True)
     rho0 = DensityMatrix.pure(PAIR_BASIS, np.array([1, 0, 1, 0]) / np.sqrt(2))
     times = np.linspace(0.0, 3.0 / expected, n_points + 1)
-    prop = propagate(generator(m, h), rho0, times[1:])
-    t = np.concatenate([[0.0], prop.times])
-    mags = np.concatenate([[abs(rho0.entries[_S, _T0])], np.abs(prop.coherence("S", "T0"))])
+    prop = propagate(generator(m, h), rho0, times)
+    t = prop.times
+    mags = np.abs(prop.coherence("S", "T0"))
     keep = mags > 1e-14 * mags.max()
     if keep.sum() < 5:
         raise ValidationError("coherence vanished too quickly to fit")
@@ -280,20 +283,7 @@ def pure_state_propagate(
     drift = -(
         1j * h.operator().entries + 0.5 * (m.kappa_s * ps.entries + m.kappa_t * pt.entries)
     )
-    from scipy.linalg import expm
-
-    t = np.asarray(list(times), dtype=float)
-    states = []
-    cache: dict[str, np.ndarray] = {}
-    v = psi.copy()
-    prev = 0.0
-    for tk in t:
-        key = f"{tk - prev:.15g}"
-        step = cache.get(key)
-        if step is None:
-            step = expm(drift * (tk - prev))
-            cache[key] = step
-        v = step @ v
-        prev = tk
-        states.append(DensityMatrix.pure(PAIR_BASIS, v))
-    return Propagation(t, states)
+    t = _validated_times(times)
+    psi_t = _expm_steps(drift, psi, t)
+    rho = psi_t[:, :, np.newaxis] * psi_t.conj()[:, np.newaxis, :]
+    return Propagation(PAIR_BASIS, t, _density_stack(rho, t))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinkinetics.cli import EXIT_NUMERICAL, EXIT_PARSE, EXIT_VALIDATION, main
+from spinkinetics.cli import EXIT_NUMERICAL, EXIT_PARSE, EXIT_VALIDATION, _sweep_tasks, main
 
 RADII_PARAMS = {
     "d_cm": 4e-8,
@@ -208,6 +208,36 @@ class TestSweep:
         header, rows = read_csv(tmp_path / "b" / "sweep.csv")
         col = header.index("l_ST_minus_d_cm")
         assert float(rows[0][col]) == summary["results"]["l_ST_minus_d_cm"]
+
+    def test_swept_tau_c_reaches_the_validity_columns(self, tmp_path):
+        taus = [5e-11, 2e-10]
+        config = {
+            "scenario": "three-state",
+            "parameters": {
+                "omega_s_rad_s": 1e9,
+                "beta_s": 1e-9,
+                "spectral_density": {
+                    "form": "lorentzian", "lambda_c_rad2_s2": 1e17, "tau_c_s": 1e-10,
+                },
+                "time_grid": {"t_max_s": 1e-8, "n_points": 3},
+            },
+            "grid": {"spectral_density.tau_c_s": taus},
+        }
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["sweep", cfg, "--out-dir", str(tmp_path / "out"), "--workers", "1"]) == 0
+        header, rows = read_csv(tmp_path / "out" / "sweep.csv")
+        col = header.index("validity.tau_c_s")
+        assert [float(r[col]) for r in rows] == taus
+
+    def test_point_seeds_do_not_repeat_across_master_seeds(self):
+        def seeds(master):
+            config = {"scenario": "radii", "seed": master,
+                      "grid": {"D_cm2_per_s": [1e-6, 2e-6, 5e-6]}}
+            return [task[3] for task in _sweep_tasks(config, RADII_PARAMS)]
+
+        a, b = seeds(3), seeds(3 + 7919)
+        assert len(set(a + b)) == 6
+        assert seeds(3) == a
 
     def test_oversized_grid_rejected(self, tmp_path, capsys):
         config = {

@@ -1,12 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 from _util import random_density, random_hermitian
+from scipy.linalg import expm
 
 from spinkinetics import (
     BasisLabel,
+    BathSpec,
+    CouplingOperator,
     DensityMatrix,
+    Lorentzian,
     DimensionMismatchError,
     NonDecayingGeneratorError,
+    NumericalError,
     OperatorMatrix,
     Superoperator,
     ValidationError,
@@ -17,7 +24,9 @@ from spinkinetics import (
     infinite_time_integral,
     projector_dephasing_super,
     propagate,
+    relaxation_supermatrix,
     sandwich_super,
+    validity_check,
 )
 
 B3 = BasisLabel(("0", "1", "2"))
@@ -174,8 +183,8 @@ class TestPropagate:
         rho0 = DensityMatrix.basis_state(B3, "1")
         times = np.linspace(0.1, 2.0, 8)
         prop = propagate(gen, rho0, times)
-        for t, state in zip(prop.times, prop.states):
-            assert state.population("1") == pytest.approx(np.exp(-kappa * t), rel=1e-12)
+        for t, pop in zip(prop.times, prop.populations()[:, B3.index("1")]):
+            assert pop == pytest.approx(np.exp(-kappa * t), rel=1e-12)
 
     def test_expm_and_rk_agree(self):
         rng = np.random.default_rng(11)
@@ -186,7 +195,7 @@ class TestPropagate:
         a = propagate(gen, rho0, times, method="expm")
         b = propagate(gen, rho0, times, method="rk")
         worst = max(
-            np.abs(x.entries - y.entries).max() for x, y in zip(a.states, b.states)
+            np.abs(x - y).max() for x, y in zip(a.states, b.states)
         )
         assert worst < 1e-8
 
@@ -197,7 +206,7 @@ class TestPropagate:
         t1, t2 = 0.13 / gen.norm(), 0.71 / gen.norm()
         two_steps = propagate(gen, rho0, [t1, t1 + t2]).states[-1]
         one_step = propagate(gen, rho0, [t1 + t2]).states[-1]
-        assert np.abs(two_steps.entries - one_step.entries).max() < 1e-9
+        assert np.abs(two_steps - one_step).max() < 1e-9
 
     def test_bad_times_rejected(self):
         gen = -1.0 * Superoperator.identity(B3)
@@ -208,6 +217,65 @@ class TestPropagate:
             propagate(gen, rho0, [-0.1, 0.2])
         with pytest.raises(ValidationError):
             propagate(gen, rho0, [0.1], method="simpson")
+
+
+def _out_of_regime_redfield(seed=0):
+    """Random three-level Redfield generator far outside the second-order regime.
+
+    Started from the ground state of H with 1% of the maximally mixed state
+    (smallest eigenvalue 1/300), it loses positivity after about 0.14 ns
+    (validity ratio ~7 for seed 0).
+    """
+    rng = np.random.default_rng(seed)
+    h = OperatorMatrix(B3, 1e9 * random_hermitian(3, rng), hermitian=True)
+    c = OperatorMatrix(B3, random_hermitian(3, rng), hermitian=True)
+    bath = BathSpec.uncorrelated(
+        [CouplingOperator("c", c, 0)], [Lorentzian(amplitude=3e18, tau_c=1e-9)], beta=1e-9
+    )
+    relax = relaxation_supermatrix(bath, h)
+    assert validity_check(relax, 1e-9).ratio > 1.0
+    gen = assemble_generator(h, relaxers=[relax])
+    ground = DensityMatrix.pure(B3, np.linalg.eigh(h.entries)[1][:, 0]).entries
+    return gen, DensityMatrix(B3, 0.99 * ground + 0.01 * np.eye(3) / 3)
+
+
+class TestBatchedStateCheck:
+    def test_states_are_one_read_only_array(self):
+        rng = np.random.default_rng(14)
+        gen = _random_lindblad_generator(rng, B3)
+        prop = propagate(gen, DensityMatrix(B3, random_density(3, rng)), [0.1, 0.2, 0.4])
+        assert isinstance(prop.states, np.ndarray)
+        assert prop.states.shape == (3, 3, 3)
+        assert not prop.states.flags.writeable
+        assert np.array_equal(prop.states, prop.states.conj().swapaxes(1, 2))
+
+    def test_positivity_loss_names_first_time_and_lambda_min(self):
+        gen, rho0 = _out_of_regime_redfield()
+        times = np.linspace(0.0, 2e-10, 41)
+        # reference: each grid time on its own, by one direct exponential
+        lambdas = []
+        for t in times:
+            rho = (expm(gen.matrix * t) @ rho0.entries.reshape(-1)).reshape(3, 3)
+            lambdas.append(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+        first = int(np.flatnonzero(np.array(lambdas) < -1e-9)[0])
+        assert 10 < first < times.size - 10
+        with pytest.raises(ValidationError) as info:
+            propagate(gen, rho0, times)
+        message = str(info.value)
+        t_named = float(re.search(r"t = (\S+) s", message).group(1))
+        lambda_named = float(re.search(r"lambda_min (\S+) ", message).group(1))
+        assert t_named == pytest.approx(times[first], rel=1e-11)
+        assert lambda_named == pytest.approx(lambdas[first], rel=1e-4)
+
+    def test_rk_path_runs_the_same_check(self):
+        gen, rho0 = _out_of_regime_redfield()
+        with pytest.raises(ValidationError, match="lambda_min"):
+            propagate(gen, rho0, np.linspace(1e-11, 2e-10, 20), method="rk")
+
+    def test_non_finite_states_are_numerical_errors(self):
+        gen = Superoperator(B3, 1e200 * np.eye(9))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            propagate(gen, DensityMatrix.basis_state(B3, "0"), [1.0, 2.0])
 
 
 class TestInfiniteTimeIntegral:
@@ -233,7 +301,7 @@ class TestInfiniteTimeIntegral:
         x = infinite_time_integral(gen, rho0)
         t = np.linspace(0.0, 20.0, 4001)
         prop = propagate(gen, rho0, t[1:])
-        stack = np.array([rho0.entries] + [s.entries for s in prop.states])
+        stack = np.array([rho0.entries] + list(prop.states))
         quad = simpson(stack, x=t, axis=0)
         assert np.abs(x.entries - quad).max() / np.abs(x.entries).max() < 1e-6
 

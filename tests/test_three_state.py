@@ -203,7 +203,7 @@ class TestEquilibration:
         rates = closed_form_rates(p)
         t_relax = 1.0 / (rates.w11 + rates.w22)
         prop = propagate(gen, rho0, [20.0 * t_relax])
-        final = prop.states[-1]
-        assert final.population("1") + final.population("2") == pytest.approx(1.0, abs=1e-9)
-        ratio = final.population("2") / final.population("1")
+        final = dict(zip(THREE_STATE_BASIS.names, prop.populations()[-1]))
+        assert final["1"] + final["2"] == pytest.approx(1.0, abs=1e-9)
+        ratio = final["2"] / final["1"]
         assert ratio == pytest.approx(math.exp(beta_omega), rel=1e-6)
