@@ -80,11 +80,9 @@ from .stochastic import (
     NoiseProcess,
     PerturbativeRun,
     RateExtraction,
-    TrajectoryEnsemble,
     closed_loop_check,
     correlation_spectrum,
     extract_rates,
-    integrate_amplitudes,
     perturbative_amplitudes,
     simulate_noise,
 )

@@ -2,8 +2,9 @@
 
 Config keys carry explicit unit suffixes (``kappa_s_per_s``, ``d_cm``,
 ``omega_s_rad_s``) because unit slips are the dominant failure mode when
-mixing cm-scale diffusion inputs with s^-1 rates. Unknown keys are rejected.
-All floating outputs are printed with 12 significant digits so outputs are
+mixing cm-scale diffusion inputs with s^-1 rates. Each scenario's keys are
+one table of defaults and checks; unknown keys are rejected, and every value,
+sweep grid points included, is checked before any work starts. All floating outputs are printed with 12 significant digits so outputs are
 reproducible bit for bit for a fixed seed.
 
 Exit codes: 0 success, 2 config parse failure, 3 validation or regime
@@ -22,6 +23,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +42,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
-SCENARIOS = ("three-state", "radical-pair", "radii", "oracle")
 SWEEP_MAX_POINTS = 1_000_000
 SWEEP_MAX_PARAMS = 3
 
@@ -76,72 +77,158 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _require_keys(block: dict, allowed: set, required: set, where: str) -> None:
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key in {where}: {sorted(unknown)[0]!r}")
-    missing = required - set(block)
-    if missing:
-        raise ConfigError(f"missing key in {where}: {sorted(missing)[0]!r}")
-
-
-def _number(block: dict, key: str, where: str, *, minimum=None, strict=False, default=None):
-    if key not in block:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing key in {where}: {key!r}")
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
-    v = float(v)
-    if not math.isfinite(v):
-        raise ConfigError(f"{where}.{key} must be finite")
-    if minimum is not None and (v < minimum or (strict and v == minimum)):
-        raise ConfigError(f"{where}.{key} must be {'>' if strict else '>='} {minimum}")
-    return v
-
-
-def _beta(block: dict, key: str, where: str) -> float:
-    v = block.get(key)
-    if isinstance(v, str):
-        if v.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ConfigError(f"{where}.{key} must be a number or 'inf'")
-    return _number(block, key, where, minimum=0.0)
-
-
 # ---------------------------------------------------------------------------
-# spectral density blocks
+# config schema: one table per block, each key -> (default, check)
 # ---------------------------------------------------------------------------
 
-def _parse_density(block, where: str):
+REQUIRED = object()  # schema default: the key must be given
+OPTIONAL = object()  # schema default: the key may be left out
+
+
+class _Tagged(NamedTuple):
+    """A block whose ``tag`` key names the schema of the rest of it."""
+
+    tag: str
+    schemas: dict
+
+
+def _block(schema, block, where: str):
+    """Check ``block`` against ``schema``; every value is checked before use.
+
+    A schema maps each key to (default, check). The default is REQUIRED,
+    OPTIONAL or a static value, which goes through the same check. A check is
+    a function (value, where) -> checked value, a nested schema or a _Tagged
+    one. Returns (the block as given plus its static defaults, the checked
+    values): the first is what a summary records as its inputs.
+    """
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be an object")
-    form = block.get("form")
-    if form == "lorentzian":
-        _require_keys(block, {"form", "lambda_c_rad2_s2", "tau_c_s"},
-                      {"form", "lambda_c_rad2_s2", "tau_c_s"}, where)
-        return br.Lorentzian(
-            amplitude=_number(block, "lambda_c_rad2_s2", where, minimum=0.0),
-            tau_c=_number(block, "tau_c_s", where, minimum=0.0, strict=True),
-        )
-    if form == "white":
-        _require_keys(block, {"form", "level_rad2_per_s"}, {"form", "level_rad2_per_s"}, where)
-        return br.WhiteNoise(level=_number(block, "level_rad2_per_s", where, minimum=0.0))
-    if form == "tabulated":
-        _require_keys(block, {"form", "omega_rad_s", "values_rad2_per_s"},
-                      {"form", "omega_rad_s", "values_rad2_per_s"}, where)
-        return br.Tabulated(block["omega_rad_s"], block["values_rad2_per_s"])
-    raise ConfigError(f"{where}.form must be one of lorentzian|white|tabulated")
+    if isinstance(schema, _Tagged):
+        pick = _one_of(schema.schemas)
+        kind = pick(block.get(schema.tag), f"{where}.{schema.tag}")
+        schema = {schema.tag: (REQUIRED, pick), **schema.schemas[kind]}
+    unknown = sorted(set(block) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown key in {where}: {unknown[0]!r}")
+    given, checked = {}, {}
+    for key, (default, check) in schema.items():
+        if key in block:
+            value = block[key]
+        elif default is REQUIRED:
+            raise ConfigError(f"missing key in {where}: {key!r}")
+        elif default is OPTIONAL:
+            continue
+        else:
+            value = default
+        if isinstance(check, (dict, _Tagged)):
+            given[key], checked[key] = _block(check, value, f"{where}.{key}")
+        else:
+            given[key], checked[key] = value, check(value, f"{where}.{key}")
+    return given, checked
 
 
-def _parse_time_grid(block, where: str):
-    _require_keys(block, {"t_max_s", "n_points"}, {"t_max_s"}, where)
-    t_max = _number(block, "t_max_s", where, minimum=0.0, strict=True)
-    n = block.get("n_points", 201)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ConfigError(f"{where}.n_points must be an integer >= 2")
-    return np.linspace(0.0, t_max, n)
+def _number(low=-math.inf, *, strict=False):
+    """Check: a finite number >= low (> low when strict), as a float."""
+    def check(value, where):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where} must be a number")
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
+            raise ConfigError(f"{where} must be finite")
+        if x < low or (strict and x == low):
+            raise ConfigError(f"{where} must be {'>' if strict else '>='} {low}")
+        return x
+    return check
+
+
+_REAL = _number()
+_NONNEGATIVE = _number(0.0)
+_POSITIVE = _number(0.0, strict=True)
+
+
+def _integer(low: int):
+    def check(value, where):
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"{where} must be an integer >= {low}")
+        return value
+    return check
+
+
+def _one_of(options):
+    def check(value, where):
+        if not isinstance(value, str) or value not in options:
+            raise ConfigError(f"{where} must be one of {'|'.join(options)}, not {value!r}")
+        return value
+    return check
+
+
+def _boolean(value, where):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false")
+    return value
+
+
+def _text(value, where):
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string")
+    return value
+
+
+def _beta(value, where):
+    """Inverse temperature in s: a number >= 0, or "inf" for the irreversible limit."""
+    if isinstance(value, str) and value.lower() in ("inf", "infinity"):
+        return math.inf
+    return _NONNEGATIVE(value, where)
+
+
+def _list_of(item, min_len: int):
+    """Check: a list of at least ``min_len`` values, each checked by ``item``."""
+    def check(value, where):
+        if not isinstance(value, list) or len(value) < min_len:
+            raise ConfigError(f"{where} must be a list of at least {min_len} values")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return check
+
+
+_DENSITIES = {  # form -> (spectrum class, the schema of its arguments in order)
+    "lorentzian": (br.Lorentzian, {"lambda_c_rad2_s2": (REQUIRED, _NONNEGATIVE),
+                                   "tau_c_s": (REQUIRED, _POSITIVE)}),
+    "white": (br.WhiteNoise, {"level_rad2_per_s": (REQUIRED, _NONNEGATIVE)}),
+    "tabulated": (br.Tabulated, {"omega_rad_s": (REQUIRED, _list_of(_REAL, 2)),
+                                 "values_rad2_per_s": (REQUIRED, _list_of(_REAL, 2))}),
+}
+_DENSITY = _Tagged("form", {form: args for form, (_, args) in _DENSITIES.items()})
+
+
+def _density(value, where):
+    """Check: a spectral density block, built into its spectrum."""
+    _, args = _block(_DENSITY, value, where)
+    cls, _ = _DENSITIES[args.pop("form")]
+    try:
+        return cls(*args.values())
+    except ValidationError as exc:  # a tabulated grid that is not increasing, say
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+_TIME_GRID = {"t_max_s": (REQUIRED, _POSITIVE), "n_points": (201, _integer(2))}
+
+
+def _grid(value, where):
+    if not isinstance(value, dict) or not value:
+        raise ConfigError(f"{where} must be a non-empty object")
+    if len(value) > SWEEP_MAX_PARAMS:
+        raise ConfigError(f"{where} spans more than {SWEEP_MAX_PARAMS} parameters")
+    total = 1
+    for key, values in value.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"{where}.{key} must be a non-empty list")
+        total *= len(values)
+    if total > SWEEP_MAX_POINTS:
+        raise ConfigError(f"{where} has {total} points, above the {SWEEP_MAX_POINTS} cap")
+    return value
 
 
 def _series_table(times, names, columns):
@@ -160,8 +247,8 @@ def _state_series(gen, rho0, params, available):
     ``available`` maps each observable to None (the trace) or to a label pair
     (row, col): a population when row == col, else a coherence magnitude.
     """
-    times = _parse_time_grid(params["time_grid"], "parameters.time_grid")
-    prop = propagate(gen, rho0, times)
+    grid = params["time_grid"]
+    prop = propagate(gen, rho0, np.linspace(0.0, grid["t_max_s"], grid["n_points"]))
 
     def column(pair):
         if pair is None:
@@ -170,7 +257,7 @@ def _state_series(gen, rho0, params, available):
         # hypot, not np.abs: it rounds exactly like Python's abs(complex)
         return z.real if pair[0] == pair[1] else np.hypot(z.real, z.imag)
 
-    names = _observables(params, "parameters", available)
+    names = params["observables"]
     return _series_table(prop.times, names, [column(available[c]).tolist() for c in names])
 
 
@@ -190,11 +277,6 @@ def _validity_block(superop, tau_c):
 # three-state scenario
 # ---------------------------------------------------------------------------
 
-_TS_KEYS = {
-    "omega0_rad_s", "omega_s_rad_s", "beta_s", "spectral_density",
-    "splitting_density", "isotropic", "tau_c_s", "initial_state",
-    "time_grid", "observables",
-}
 _TS_COLUMNS = {"rho_00": ("0", "0"), "rho_11": ("1", "1"), "rho_22": ("2", "2"),
                "abs_rho_01": ("0", "1"), "abs_rho_02": ("0", "2"), "abs_rho_12": ("1", "2"),
                "trace": None}
@@ -205,55 +287,35 @@ _TS_STATES = {
     "superposition_01": [1 / math.sqrt(2), 1 / math.sqrt(2), 0],
     "superposition_12": [0, 1 / math.sqrt(2), 1 / math.sqrt(2)],
 }
-
-
-def _observables(params, where, available):
-    cols = params.get("observables", list(available))
-    if not isinstance(cols, list) or not cols:
-        raise ConfigError(f"{where}.observables must be a non-empty list")
-    for c in cols:
-        if c not in available:
-            raise ConfigError(f"unknown observable {c!r} in {where}")
-    return cols
-
-
-def _normalize_three_state(params: dict) -> dict:
-    _require_keys(params, _TS_KEYS,
-                  {"omega_s_rad_s", "beta_s", "spectral_density", "time_grid"},
-                  "parameters")
-    out = dict(params)
-    out.setdefault("omega0_rad_s", 0.0)
-    out.setdefault("isotropic", False)
-    out.setdefault("initial_state", "1")
-    out.setdefault("observables", list(_TS_COLUMNS))
-    if out["initial_state"] not in _TS_STATES:
-        raise ConfigError(f"unknown initial_state {out['initial_state']!r}")
-    if not isinstance(out["isotropic"], bool):
-        raise ConfigError("parameters.isotropic must be a boolean")
-    sd = out["spectral_density"]
-    if isinstance(sd, dict) and sd.get("form") == "lorentzian" and "tau_c_s" not in out:
-        out["tau_c_s"] = sd["tau_c_s"]
-    out["time_grid"] = dict(out["time_grid"])
-    out["time_grid"].setdefault("n_points", 201)
-    return out
+_THREE_STATE = {
+    "omega0_rad_s": (0.0, _REAL),
+    "omega_s_rad_s": (REQUIRED, _POSITIVE),
+    "beta_s": (REQUIRED, _beta),
+    "spectral_density": (REQUIRED, _density),
+    "splitting_density": (OPTIONAL, _density),
+    "isotropic": (False, _boolean),
+    "tau_c_s": (OPTIONAL, _POSITIVE),
+    "initial_state": ("1", _one_of(_TS_STATES)),
+    "time_grid": (REQUIRED, _TIME_GRID),
+    "observables": (list(_TS_COLUMNS), _list_of(_one_of(_TS_COLUMNS), 1)),
+}
 
 
 def _run_three_state(params: dict, seed):
     p = three_state.ThreeStateParams(
-        omega0=_number(params, "omega0_rad_s", "parameters"),
-        omega_s=_number(params, "omega_s_rad_s", "parameters", minimum=0.0, strict=True),
-        beta=_beta(params, "beta_s", "parameters"),
-        transverse=_parse_density(params["spectral_density"], "parameters.spectral_density"),
-        splitting=(
-            _parse_density(params["splitting_density"], "parameters.splitting_density")
-            if "splitting_density" in params else None
-        ),
+        omega0=params["omega0_rad_s"],
+        omega_s=params["omega_s_rad_s"],
+        beta=params["beta_s"],
+        transverse=params["spectral_density"],
+        splitting=params.get("splitting_density"),
         isotropic=params["isotropic"],
     )
     rates = three_state.closed_form_rates(p)
     h, bath = three_state.build_bath(p)
     relax = br.relaxation_supermatrix(bath, h)
     tau_c = params.get("tau_c_s")
+    if tau_c is None and isinstance(p.transverse, br.Lorentzian):
+        tau_c = p.transverse.tau_c
     rho0 = DensityMatrix.pure(three_state.THREE_STATE_BASIS,
                               _TS_STATES[params["initial_state"]])
     series = _state_series(assemble_generator(h, relaxers=[relax]), rho0, params, _TS_COLUMNS)
@@ -276,11 +338,6 @@ def _run_three_state(params: dict, seed):
 # radical-pair scenario
 # ---------------------------------------------------------------------------
 
-_RP_KEYS = {
-    "variant", "kappa_s_per_s", "kappa_t_per_s", "kappa_st_per_s", "kappa_d_per_s",
-    "omega_mean_rad_s", "delta_omega_rad_s", "j_exchange_rad_s", "initial_state",
-    "time_grid", "compute_yields", "tau_c_s", "observables",
-}
 _RP_COLUMNS = {"rho_SS": ("S", "S"), "rho_TpTp": ("T+", "T+"), "rho_T0T0": ("T0", "T0"),
                "rho_TmTm": ("T-", "T-"), "abs_rho_ST0": ("S", "T0"), "trace": None}
 _RP_STATES = {
@@ -291,73 +348,37 @@ _RP_STATES = {
     "superposition_ST0": [1 / math.sqrt(2), 0, 1 / math.sqrt(2), 0],
     "mixed": None,
 }
-
-
-def _normalize_radical_pair(params: dict) -> dict:
-    _require_keys(params, _RP_KEYS, {"variant", "time_grid"}, "parameters")
-    out = dict(params)
-    variant = out.get("variant")
-    if variant not in [v.value for v in radical_pair.ReactionVariant]:
-        raise ConfigError(f"unknown variant {variant!r}")
-    if variant == "dephasing_only":
-        if "kappa_s_per_s" in out or "kappa_t_per_s" in out or "kappa_st_per_s" in out:
-            raise ConfigError("dephasing_only takes kappa_d_per_s only")
-        if "kappa_d_per_s" not in out:
-            raise ConfigError("missing key in parameters: 'kappa_d_per_s'")
-    else:
-        if "kappa_d_per_s" in out:
-            raise ConfigError("kappa_d_per_s is only valid for dephasing_only")
-        for key in ("kappa_s_per_s", "kappa_t_per_s"):
-            if key not in out:
-                raise ConfigError(f"missing key in parameters: {key!r}")
-        if variant != "generalized" and "kappa_st_per_s" in out:
-            raise ConfigError("kappa_st_per_s is only valid for generalized")
-        if variant == "generalized":
-            out.setdefault("kappa_st_per_s", 0.0)
-    out.setdefault("omega_mean_rad_s", 0.0)
-    out.setdefault("delta_omega_rad_s", 0.0)
-    out.setdefault("j_exchange_rad_s", 0.0)
-    out.setdefault("initial_state", "S")
-    out.setdefault("compute_yields", True)
-    out.setdefault("observables", list(_RP_COLUMNS))
-    if out["initial_state"] not in _RP_STATES:
-        raise ConfigError(f"unknown initial_state {out['initial_state']!r}")
-    if not isinstance(out["compute_yields"], bool):
-        raise ConfigError("parameters.compute_yields must be a boolean")
-    out["time_grid"] = dict(out["time_grid"])
-    out["time_grid"].setdefault("n_points", 201)
-    return out
-
-
-def _reaction_model(params: dict) -> radical_pair.ReactionModel:
-    variant = params["variant"]
-    if variant == "haberkorn":
-        return radical_pair.ReactionModel.haberkorn(
-            _number(params, "kappa_s_per_s", "parameters", minimum=0.0),
-            _number(params, "kappa_t_per_s", "parameters", minimum=0.0),
-        )
-    if variant == "jones_hore":
-        return radical_pair.ReactionModel.jones_hore(
-            _number(params, "kappa_s_per_s", "parameters", minimum=0.0),
-            _number(params, "kappa_t_per_s", "parameters", minimum=0.0),
-        )
-    if variant == "generalized":
-        return radical_pair.ReactionModel.generalized(
-            _number(params, "kappa_s_per_s", "parameters", minimum=0.0),
-            _number(params, "kappa_t_per_s", "parameters", minimum=0.0),
-            _number(params, "kappa_st_per_s", "parameters", minimum=0.0),
-        )
-    return radical_pair.ReactionModel.dephasing_only(
-        _number(params, "kappa_d_per_s", "parameters", minimum=0.0)
-    )
+_KS_KT = {"kappa_s_per_s": (REQUIRED, _NONNEGATIVE), "kappa_t_per_s": (REQUIRED, _NONNEGATIVE)}
+_REACTIONS = {  # variant -> (ReactionModel factory, the schema of its rates in order)
+    "haberkorn": (radical_pair.ReactionModel.haberkorn, _KS_KT),
+    "jones_hore": (radical_pair.ReactionModel.jones_hore, _KS_KT),
+    "generalized": (radical_pair.ReactionModel.generalized,
+                    {**_KS_KT, "kappa_st_per_s": (0.0, _NONNEGATIVE)}),
+    "dephasing_only": (radical_pair.ReactionModel.dephasing_only,
+                       {"kappa_d_per_s": (REQUIRED, _NONNEGATIVE)}),
+}
+_RP_COMMON = {
+    "omega_mean_rad_s": (0.0, _REAL),
+    "delta_omega_rad_s": (0.0, _REAL),
+    "j_exchange_rad_s": (0.0, _REAL),
+    "initial_state": ("S", _one_of(_RP_STATES)),
+    "time_grid": (REQUIRED, _TIME_GRID),
+    "compute_yields": (True, _boolean),
+    "tau_c_s": (OPTIONAL, _POSITIVE),
+    "observables": (list(_RP_COLUMNS), _list_of(_one_of(_RP_COLUMNS), 1)),
+}
+_RADICAL_PAIR = _Tagged(
+    "variant", {variant: {**rates, **_RP_COMMON} for variant, (_, rates) in _REACTIONS.items()}
+)
 
 
 def _run_radical_pair(params: dict, seed):
-    model = _reaction_model(params)
+    factory, rates = _REACTIONS[params["variant"]]
+    model = factory(*(params[key] for key in rates))
     h = radical_pair.PairHamiltonian(
-        omega_mean=_number(params, "omega_mean_rad_s", "parameters"),
-        delta_omega=_number(params, "delta_omega_rad_s", "parameters"),
-        j_exchange=_number(params, "j_exchange_rad_s", "parameters"),
+        omega_mean=params["omega_mean_rad_s"],
+        delta_omega=params["delta_omega_rad_s"],
+        j_exchange=params["j_exchange_rad_s"],
     )
     elements = radical_pair.rate_elements(model)
     fit = radical_pair.coherence_decay_rate(model, h)
@@ -395,33 +416,32 @@ def _run_radical_pair(params: dict, seed):
 # radii scenario
 # ---------------------------------------------------------------------------
 
-_RADII_KEYS = {
-    "d_cm", "lambda0_cm", "D_cm2_per_s", "alpha_per_cm", "J0_per_s",
-    "kappa0_s_per_s", "kappa0_t_per_s", "Z_cm3", "Q_per_s", "tau_c_s",
-    "lambda_amp_cm", "equal_radius_tolerance",
+_RADII = {
+    "d_cm": (REQUIRED, _POSITIVE),
+    "lambda0_cm": (REQUIRED, _POSITIVE),
+    "D_cm2_per_s": (REQUIRED, _POSITIVE),
+    "alpha_per_cm": (REQUIRED, _POSITIVE),
+    "J0_per_s": (REQUIRED, _REAL),
+    "kappa0_s_per_s": (REQUIRED, _NONNEGATIVE),
+    "kappa0_t_per_s": (REQUIRED, _NONNEGATIVE),
+    "Z_cm3": (OPTIONAL, _POSITIVE),
+    "Q_per_s": (OPTIONAL, _POSITIVE),
+    "tau_c_s": (OPTIONAL, _POSITIVE),
+    "lambda_amp_cm": (OPTIONAL, _NONNEGATIVE),
+    "equal_radius_tolerance": (0.2, _NONNEGATIVE),
 }
-
-
-def _normalize_radii(params: dict) -> dict:
-    _require_keys(params, _RADII_KEYS,
-                  {"d_cm", "lambda0_cm", "D_cm2_per_s", "alpha_per_cm", "J0_per_s",
-                   "kappa0_s_per_s", "kappa0_t_per_s"},
-                  "parameters")
-    out = dict(params)
-    out.setdefault("equal_radius_tolerance", 0.2)
-    return out
 
 
 def _run_radii(params: dict, seed):
     p = diffusion.DiffusionParams(
-        d=_number(params, "d_cm", "parameters", minimum=0.0, strict=True),
-        lambda0=_number(params, "lambda0_cm", "parameters", minimum=0.0, strict=True),
-        big_d=_number(params, "D_cm2_per_s", "parameters", minimum=0.0, strict=True),
-        alpha=_number(params, "alpha_per_cm", "parameters", minimum=0.0, strict=True),
-        j0=_number(params, "J0_per_s", "parameters"),
+        d=params["d_cm"],
+        lambda0=params["lambda0_cm"],
+        big_d=params["D_cm2_per_s"],
+        alpha=params["alpha_per_cm"],
+        j0=params["J0_per_s"],
         z_cage=params.get("Z_cm3"),
-        kappa0_s=_number(params, "kappa0_s_per_s", "parameters", minimum=0.0),
-        kappa0_t=_number(params, "kappa0_t_per_s", "parameters", minimum=0.0),
+        kappa0_s=params["kappa0_s_per_s"],
+        kappa0_t=params["kappa0_t_per_s"],
         q_spin=params.get("Q_per_s"),
         tau_c=params.get("tau_c_s"),
         lambda_amp=params.get("lambda_amp_cm"),
@@ -450,9 +470,7 @@ def _run_radii(params: dict, seed):
         sens = diffusion.recombination_sensitivity(p, radii.l_ss, radii.l_st)
         results["sensitivity_index"] = sens.value
         results["sensitivity_insensitive"] = sens.insensitive
-    report = diffusion.equal_radius_regime_check(
-        p, tolerance=_number(params, "equal_radius_tolerance", "parameters", minimum=0.0)
-    )
+    report = diffusion.equal_radius_regime_check(p, tolerance=params["equal_radius_tolerance"])
     results["equal_radius"] = {
         "q_s": report.q_s,
         "exchange_ratio": report.exchange_ratio,
@@ -472,44 +490,32 @@ def _run_radii(params: dict, seed):
 # oracle scenario
 # ---------------------------------------------------------------------------
 
-_ORACLE_KEYS = {
-    "kind", "variance_rad2_s2", "tau_c_s", "dt_s", "omega_s_rad_s",
-    "omega0_rad_s", "t_total_s", "n_traj", "n_spectrum_paths",
+_ORACLE = {
+    "kind": (REQUIRED, _one_of([k.value for k in stochastic.NoiseKind])),
+    "variance_rad2_s2": (REQUIRED, _POSITIVE),
+    "tau_c_s": (REQUIRED, _POSITIVE),
+    "dt_s": (OPTIONAL, _POSITIVE),
+    "omega_s_rad_s": (REQUIRED, _REAL),
+    "omega0_rad_s": (0.0, _REAL),
+    "t_total_s": (OPTIONAL, _POSITIVE),
+    "n_traj": (10000, _integer(100)),
+    "n_spectrum_paths": (2000, _integer(stochastic.MIN_SPECTRUM_PATHS)),
 }
-
-
-def _normalize_oracle(params: dict) -> dict:
-    _require_keys(params, _ORACLE_KEYS,
-                  {"kind", "variance_rad2_s2", "tau_c_s", "omega_s_rad_s"},
-                  "parameters")
-    out = dict(params)
-    if out["kind"] not in [k.value for k in stochastic.NoiseKind]:
-        raise ConfigError(f"unknown noise kind {out['kind']!r}")
-    out.setdefault("omega0_rad_s", 0.0)
-    out.setdefault("n_traj", 10000)
-    out.setdefault("n_spectrum_paths", 2000)
-    tau = _number(out, "tau_c_s", "parameters", minimum=0.0, strict=True)
-    out.setdefault("dt_s", tau / 20.0)
-    out.setdefault("t_total_s", 60.0 * tau)
-    for key in ("n_traj", "n_spectrum_paths"):
-        if not isinstance(out[key], int) or isinstance(out[key], bool) or out[key] < 100:
-            raise ConfigError(f"parameters.{key} must be an integer >= 100")
-    return out
 
 
 def _run_oracle(params: dict, seed):
     process = stochastic.NoiseProcess(
         kind=stochastic.NoiseKind(params["kind"]),
-        variance=_number(params, "variance_rad2_s2", "parameters", minimum=0.0, strict=True),
-        tau_c=_number(params, "tau_c_s", "parameters", minimum=0.0, strict=True),
+        variance=params["variance_rad2_s2"],
+        tau_c=params["tau_c_s"],
         seed=seed if seed is not None else 12345,
-        dt=_number(params, "dt_s", "parameters", minimum=0.0, strict=True),
+        dt=params.get("dt_s"),
     )
     report = stochastic.closed_loop_check(
         process,
-        omega_s=_number(params, "omega_s_rad_s", "parameters"),
-        omega0=_number(params, "omega0_rad_s", "parameters"),
-        duration=_number(params, "t_total_s", "parameters", minimum=0.0, strict=True),
+        omega_s=params["omega_s_rad_s"],
+        omega0=params["omega0_rad_s"],
+        duration=params.get("t_total_s"),
         n_traj=params["n_traj"],
         n_spectrum_paths=params["n_spectrum_paths"],
     )
@@ -550,17 +556,20 @@ def _run_oracle(params: dict, seed):
     return results, series
 
 
-_RUNNERS = {
-    "three-state": (_normalize_three_state, _run_three_state),
-    "radical-pair": (_normalize_radical_pair, _run_radical_pair),
-    "radii": (_normalize_radii, _run_radii),
-    "oracle": (_normalize_oracle, _run_oracle),
+_RUNNERS = {  # scenario -> (parameters schema, runner)
+    "three-state": (_THREE_STATE, _run_three_state),
+    "radical-pair": (_RADICAL_PAIR, _run_radical_pair),
+    "radii": (_RADII, _run_radii),
+    "oracle": (_ORACLE, _run_oracle),
 }
 
 
 # ---------------------------------------------------------------------------
 # config handling and output
 # ---------------------------------------------------------------------------
+
+_OUTPUT = {"dir": (".", _text), "format": ("csv", _one_of(("csv", "json")))}
+
 
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
@@ -574,54 +583,22 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _normalize_config(doc: dict, *, sweep: bool) -> dict:
-    allowed = {"scenario", "parameters", "output", "seed"}
-    required = {"scenario", "parameters"}
-    if sweep:
-        allowed.add("grid")
-        required.add("grid")
-    _require_keys(doc, allowed, required, "config")
-    scenario = doc.get("scenario")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    if not isinstance(doc["parameters"], dict):
-        raise ConfigError("config.parameters must be an object")
-    seed = doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-        raise ConfigError("config.seed must be a nonnegative integer")
-    output = doc.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("config.output must be an object")
-    _require_keys(output, {"dir", "format"}, set(), "config.output")
-    fmt = output.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError("config.output.format must be csv or json")
-    normalize, _ = _RUNNERS[scenario]
-    out = {
-        "scenario": scenario,
-        "parameters": normalize(doc["parameters"]),
-        "output": {"dir": output.get("dir", "."), "format": fmt},
-    }
-    if seed is not None:
-        out["seed"] = seed
-    if sweep:
-        out["grid"] = _normalize_grid(doc["grid"])
-    return out
+def _normalize_config(doc: dict, *, sweep: bool):
+    """Check a whole config: (inputs, checked parameters).
 
-
-def _normalize_grid(grid) -> dict:
-    if not isinstance(grid, dict) or not grid:
-        raise ConfigError("config.grid must be a non-empty object")
-    if len(grid) > SWEEP_MAX_PARAMS:
-        raise ConfigError(f"grid spans more than {SWEEP_MAX_PARAMS} parameters")
-    total = 1
-    for key, values in grid.items():
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"grid.{key} must be a non-empty list")
-        total *= len(values)
-    if total > SWEEP_MAX_POINTS:
-        raise ConfigError(f"grid has {total} points, above the {SWEEP_MAX_POINTS} cap")
-    return {k: list(v) for k, v in grid.items()}
+    ``inputs`` is the config as given plus its static defaults; values
+    derived from others (the Lorentzian's tau_c, say) are left out of it, so a
+    re-fed summary derives them afresh.
+    """
+    blocks = {"output": ({}, _OUTPUT), "seed": (OPTIONAL, _integer(0))}
+    if sweep:
+        blocks["grid"] = (REQUIRED, _grid)
+    schema = _Tagged("scenario", {
+        name: {"parameters": (REQUIRED, parameters), **blocks}
+        for name, (parameters, _) in _RUNNERS.items()
+    })
+    inputs, checked = _block(schema, doc, "config")
+    return inputs, checked["parameters"]
 
 
 def _set_dotted(params: dict, dotted: str, value) -> dict:
@@ -688,19 +665,22 @@ def _run_point(scenario: str, params: dict, seed):
     return runner(params, seed)
 
 
-def cmd_run(args) -> int:
-    started = time.monotonic()
+def _checked_config(args, *, sweep: bool):
     doc = _load_config(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed  # checked like config.seed
-    config = _normalize_config(doc, sweep=False)
+    inputs, params = _normalize_config(doc, sweep=sweep)
     if args.out_dir is not None:
-        config["output"]["dir"] = args.out_dir
+        inputs["output"]["dir"] = args.out_dir
+    return doc, inputs, params
+
+
+def cmd_run(args) -> int:
+    started = time.monotonic()
+    _, config, params = _checked_config(args, sweep=False)
     if args.format is not None:
         config["output"]["format"] = args.format
-    results, series = _run_point(
-        config["scenario"], config["parameters"], config.get("seed")
-    )
+    results, series = _run_point(config["scenario"], params, config.get("seed"))
     out_dir = Path(config["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_summary(out_dir / "summary.json", config, results, time.monotonic() - started)
@@ -712,22 +692,27 @@ def cmd_run(args) -> int:
 
 
 def _sweep_tasks(config: dict, parameters: dict):
-    """Grid points as (index, grid values, normalised parameters, seed).
+    """Grid points as (index, grid values, checked parameters, seed).
 
     Each point is laid over the raw ``parameters`` block before it is
-    normalised, so derived keys (tau_c_s, the oracle's dt_s) follow the grid.
-    Seeds come from SeedSequence((master seed, index)): no stream is shared.
+    checked, so values derived from swept keys follow the grid. Seeds come
+    from SeedSequence((master seed, index)): no stream is shared.
     """
-    normalize, _ = _RUNNERS[config["scenario"]]
+    schema, _ = _RUNNERS[config["scenario"]]
     grid = config["grid"]
     keys = sorted(grid)
     base_seed = config.get("seed", 0)
     for index, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
+        point = dict(zip(keys, combo))
         params = parameters
-        for key, value in zip(keys, combo):
+        for key, value in point.items():
             params = _set_dotted(params, key, value)
+        try:
+            _, checked = _block(schema, params, "config.parameters")
+        except ConfigError as exc:
+            raise ConfigError(f"grid point {point}: {exc}") from None
         seed = int(np.random.SeedSequence((base_seed, index)).generate_state(1)[0])
-        yield index, dict(zip(keys, combo)), normalize(params), seed
+        yield index, point, checked, seed
 
 
 def _sweep_worker(task):
@@ -738,13 +723,8 @@ def _sweep_worker(task):
 
 def cmd_sweep(args) -> int:
     started = time.monotonic()
-    doc = _load_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed  # checked like config.seed
-    config = _normalize_config(doc, sweep=True)
-    if args.out_dir is not None:
-        config["output"]["dir"] = args.out_dir
-    # every grid point is normalised, hence validated, before any work or output
+    doc, config, _ = _checked_config(args, sweep=True)
+    # every grid point is checked before any work or output
     tasks = list(_sweep_tasks(config, doc["parameters"]))
     scenario = config["scenario"]
     payloads = [(scenario, params, seed) for _i, _c, params, seed in tasks]
@@ -798,7 +778,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (json.JSONDecodeError, OSError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         _error_line("parse", exc)
         return EXIT_PARSE
     except (ConfigError, ValidationError, RegimeError) as exc:

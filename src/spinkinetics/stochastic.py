@@ -287,47 +287,6 @@ def _second_order_amplitude(v: np.ndarray, omega_s: float, dt: float, times: np.
 
 
 @dataclass(frozen=True)
-class TrajectoryEnsemble:
-    """Raw per-trajectory amplitudes a_j(t), j in (0, 1, 2).
-
-    Meant for moderate ensembles (tests, inspection); the rate pipeline uses
-    the batched summaries in :class:`PerturbativeRun` instead.
-    """
-
-    n_traj: int
-    times: np.ndarray
-    amplitudes: np.ndarray  # (n_traj, n_times, 3) complex
-
-    def max_norm_defect(self) -> float:
-        norms = np.sum(np.abs(self.amplitudes) ** 2, axis=2)
-        return float(np.abs(norms - 1.0).max())
-
-
-def integrate_amplitudes(
-    p: NoiseProcess,
-    omega_s: float,
-    duration: float,
-    n_traj: int,
-    omega0: float = 0.0,
-    stream: int = 0,
-) -> TrajectoryEnsemble:
-    """Directly integrate the three amplitudes for every trajectory."""
-    _check_perturbative_window(p, duration)
-    n_steps = int(math.ceil(duration / p.dt - 1e-9))
-    times = np.arange(n_steps + 1) * p.dt
-    a0 = (1.0 / math.sqrt(2.0)) * np.exp(-1j * omega0 * times)
-    blocks = []
-    for i, size in enumerate(_chunk_sizes(n_traj)):
-        v = _noise_chunk(p, n_steps, size, stream, i)
-        a1, a2 = _schroedinger_block(v, omega_s, p.dt)
-        amps = np.stack([np.broadcast_to(a0, a1.shape), a1, a2], axis=2)
-        blocks.append(amps)
-    return TrajectoryEnsemble(
-        n_traj=n_traj, times=times, amplitudes=np.concatenate(blocks, axis=0)
-    )
-
-
-@dataclass(frozen=True)
 class PerturbativeRun:
     """Ensemble averages of the second-order and directly integrated dynamics.
 

@@ -1,11 +1,23 @@
+import copy
 import csv
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinkinetics.cli import EXIT_NUMERICAL, EXIT_PARSE, EXIT_VALIDATION, _sweep_tasks, main
+from spinkinetics import cli
+from spinkinetics.cli import (
+    EXIT_NUMERICAL,
+    EXIT_PARSE,
+    EXIT_VALIDATION,
+    ConfigError,
+    _normalize_config,
+    _sweep_tasks,
+    main,
+)
 
 RADII_PARAMS = {
     "d_cm": 4e-8,
@@ -20,6 +32,74 @@ RADII_PARAMS = {
     "tau_c_s": 1e-13,
     "lambda_amp_cm": 1e-10,
 }
+
+
+#: one valid config per scenario that sets every key its blocks have
+VALID = {
+    "three-state": {
+        "scenario": "three-state",
+        "seed": 1,
+        "output": {"dir": "out", "format": "csv"},
+        "parameters": {
+            "omega0_rad_s": 0.0,
+            "omega_s_rad_s": 1e9,
+            "beta_s": 1e-9,
+            "spectral_density": {
+                "form": "lorentzian", "lambda_c_rad2_s2": 1e17, "tau_c_s": 1e-10,
+            },
+            "splitting_density": {
+                "form": "tabulated", "omega_rad_s": [0.0, 1e9], "values_rad2_per_s": [1e6, 2e6],
+            },
+            "isotropic": True,
+            "tau_c_s": 1e-10,
+            "initial_state": "1",
+            "time_grid": {"t_max_s": 1e-8, "n_points": 3},
+            "observables": ["rho_11", "trace"],
+        },
+    },
+    "radical-pair": {
+        "scenario": "radical-pair",
+        "parameters": {
+            "variant": "generalized",
+            "kappa_s_per_s": 2.0,
+            "kappa_t_per_s": 1.0,
+            "kappa_st_per_s": 0.5,
+            "omega_mean_rad_s": 1.0,
+            "delta_omega_rad_s": 1.0,
+            "j_exchange_rad_s": 0.1,
+            "initial_state": "S",
+            "time_grid": {"t_max_s": 2.0, "n_points": 9},
+            "compute_yields": True,
+            "tau_c_s": 1e-13,
+            "observables": ["rho_SS"],
+        },
+    },
+    "radii": {
+        "scenario": "radii",
+        "parameters": dict(RADII_PARAMS, equal_radius_tolerance=0.2),
+    },
+    "oracle": {
+        "scenario": "oracle",
+        "seed": 1,
+        "parameters": {
+            "kind": "ou",
+            "variance_rad2_s2": 1e18,
+            "tau_c_s": 1e-13,
+            "dt_s": 5e-15,
+            "omega_s_rad_s": 0.0,
+            "omega0_rad_s": 0.0,
+            "t_total_s": 6e-12,
+            "n_traj": 2000,
+            "n_spectrum_paths": 1200,
+        },
+    },
+}
+
+
+def with_params(scenario, **params):
+    config = copy.deepcopy(VALID[scenario])
+    config["parameters"].update(params)
+    return config
 
 
 def write_config(path, config):
@@ -106,6 +186,14 @@ class TestThreeStateScenario:
         assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
 
 
+    def test_invalid_utf8_exits_parse(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == EXIT_PARSE
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "parse"
+        assert not (tmp_path / "out").exists()
+
+
 class TestRadicalPairScenario:
     def config(self, **overrides):
         params = {
@@ -132,6 +220,62 @@ class TestRadicalPairScenario:
         cfg = write_config(tmp_path / "cfg.json", self.config(kappa_t_per_s=0.0))
         assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == EXIT_NUMERICAL
         assert json.loads(capsys.readouterr().err.strip())["error"] == "numerical"
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "key, config",
+        [
+            ("tau_c_s", with_params("three-state", tau_c_s="abc")),
+            ("time_grid", with_params("three-state", time_grid=5)),
+            ("observables", with_params("three-state", observables=[["x"]])),
+            ("omega_rad_s", with_params("three-state", spectral_density={
+                "form": "tabulated", "omega_rad_s": ["a", "b"], "values_rad2_per_s": [1.0, 1.0],
+            })),
+            ("Z_cm3", with_params("radii", Z_cm3="x")),
+            ("tau_c_s", with_params("radical-pair", tau_c_s="x")),
+        ],
+    )
+    def test_malformed_value_exits_validation_naming_the_key(
+        self, tmp_path, capsys, key, config
+    ):
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "validation"
+        assert key in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def key_paths(block, prefix=()):
+        for key, value in block.items():
+            yield prefix + (key,)
+            if isinstance(value, dict):
+                yield from TestConfigSchema.key_paths(value, prefix + (key,))
+
+    JUNK = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.text(max_size=4),
+        st.lists(st.one_of(st.none(), st.integers(), st.text(max_size=2)), max_size=3),
+        st.dictionaries(st.text(max_size=3), st.integers(), min_size=1, max_size=1),
+        st.sampled_from([-1.0, 0.0, math.nan, math.inf]),
+    )
+
+    @pytest.mark.parametrize("scenario", sorted(VALID))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_one_bad_value_is_a_config_error(self, scenario, data):
+        config = copy.deepcopy(VALID[scenario])
+        path = data.draw(st.sampled_from(sorted(self.key_paths(config))))
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(self.JUNK)
+        try:
+            _normalize_config(config, sweep=False)
+        except ConfigError:
+            pass
 
 
 class TestRoundTrip:
@@ -228,6 +372,32 @@ class TestSweep:
         header, rows = read_csv(tmp_path / "out" / "sweep.csv")
         col = header.index("validity.tau_c_s")
         assert [float(r[col]) for r in rows] == taus
+
+    def test_refed_summary_reproduces_the_sweep(self, tmp_path):
+        config = with_params("three-state", splitting_density={
+            "form": "white", "level_rad2_per_s": 1e6,
+        })
+        del config["parameters"]["tau_c_s"]  # validity takes the Lorentzian's
+        config["grid"] = {"spectral_density.tau_c_s": [5e-11, 2e-10]}
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["sweep", cfg, "--out-dir", str(tmp_path / "a"), "--workers", "1"]) == 0
+        refed = str(tmp_path / "a" / "summary.json")
+        assert main(["sweep", refed, "--out-dir", str(tmp_path / "b"), "--workers", "1"]) == 0
+        assert (tmp_path / "a" / "sweep.csv").read_bytes() == (
+            tmp_path / "b" / "sweep.csv"
+        ).read_bytes()
+
+    def test_whole_grid_is_checked_before_any_point_runs(self, tmp_path, monkeypatch):
+        calls = []
+        run_point = cli._run_point
+        monkeypatch.setattr(cli, "_run_point", lambda *a: calls.append(a) or run_point(*a))
+        config = copy.deepcopy(VALID["three-state"])
+        config["grid"] = {"omega_s_rad_s": [1e9, 2e9, -1e9]}
+        cfg = write_config(tmp_path / "cfg.json", config)
+        out = str(tmp_path / "out")
+        assert main(["sweep", cfg, "--out-dir", out, "--workers", "1"]) == EXIT_VALIDATION
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
     def test_point_seeds_do_not_repeat_across_master_seeds(self):
         def seeds(master):

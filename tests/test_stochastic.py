@@ -10,7 +10,6 @@ from spinkinetics import (
     closed_loop_check,
     correlation_spectrum,
     extract_rates,
-    integrate_amplitudes,
     perturbative_amplitudes,
     simulate_noise,
 )
@@ -102,8 +101,8 @@ class TestSpectrum:
 
 class TestAmplitudeEnsembles:
     def test_norm_conserved_per_trajectory(self):
-        ens = integrate_amplitudes(ou(seed=10), omega_s=1 / TAU, duration=40 * TAU, n_traj=200)
-        assert ens.max_norm_defect() < 1e-6
+        run = perturbative_amplitudes(ou(seed=10), omega_s=1 / TAU, duration=40 * TAU, n_traj=200)
+        assert run.norm_defect < 1e-6
 
     def test_negligible_noise_leaves_populations(self):
         weak = NoiseProcess(NoiseKind.ORNSTEIN_UHLENBECK, variance=1e-6, tau_c=TAU, seed=11)
