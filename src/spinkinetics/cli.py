@@ -231,21 +231,12 @@ def _grid(value, where):
     return value
 
 
-def _series_table(times, names, columns):
-    return {
-        "columns": ["t_s"] + list(names),
-        "rows": [
-            [float(times[k])] + [col[k] for col in columns]
-            for k in range(len(times))
-        ],
-    }
-
-
 def _state_series(gen, rho0, params, available):
     """Propagate rho0 on the configured grid and slice the observables off it.
 
-    ``available`` maps each observable to None (the trace) or to a label pair
-    (row, col): a population when row == col, else a coherence magnitude.
+    Returns (columns, one (n_times, n_cols) array). ``available`` maps each
+    observable to None (the trace) or to a label pair (row, col): a
+    population when row == col, else a coherence magnitude.
     """
     grid = params["time_grid"]
     prop = propagate(gen, rho0, np.linspace(0.0, grid["t_max_s"], grid["n_points"]))
@@ -258,13 +249,16 @@ def _state_series(gen, rho0, params, available):
         return z.real if pair[0] == pair[1] else np.hypot(z.real, z.imag)
 
     names = params["observables"]
-    return _series_table(prop.times, names, [column(available[c]).tolist() for c in names])
+    return ["t_s", *names], np.column_stack([prop.times] + [column(available[c]) for c in names])
 
 
-def _validity_block(superop, tau_c):
-    if tau_c is None:
-        return {"ratio": None, "tau_c_s": None, "pass": None, "strong_pass": None}
-    report = br.validity_check(superop, tau_c)
+def _validity_block(tau_c, superop=None, report=None):
+    """The ``validity`` results block: ``report``, or the check of ``superop`` at
+    ``tau_c``; a block of None results when there is nothing to check."""
+    if report is None and superop is not None and tau_c is not None:
+        report = br.validity_check(superop, tau_c)
+    if report is None:
+        return {"ratio": None, "tau_c_s": tau_c, "pass": None, "strong_pass": None}
     return {
         "ratio": report.ratio,
         "tau_c_s": tau_c,
@@ -329,7 +323,7 @@ def _run_three_state(params: dict, seed):
             "wbar01_per_s": rates.wbar01,
             "wbarn_per_s": rates.wbarn,
         },
-        "validity": _validity_block(relax, tau_c),
+        "validity": _validity_block(tau_c, relax),
     }
     return results, series
 
@@ -406,7 +400,7 @@ def _run_radical_pair(params: dict, seed):
         },
         "yields": yields_block,
         "validity": _validity_block(
-            radical_pair.reaction_supermatrix(model), params.get("tau_c_s")
+            params.get("tau_c_s"), radical_pair.reaction_supermatrix(model)
         ),
     }
     return results, series
@@ -478,11 +472,7 @@ def _run_radii(params: dict, seed):
         "relative_gap": report.relative_gap,
         "radii_match": report.radii_match,
     }
-    results["validity"] = (
-        _validity_block(validity_superop, p.tau_c)
-        if validity_superop is not None
-        else {"ratio": None, "tau_c_s": p.tau_c, "pass": None, "strong_pass": None}
-    )
+    results["validity"] = _validity_block(p.tau_c, validity_superop)
     return results, None
 
 
@@ -534,26 +524,13 @@ def _run_oracle(params: dict, seed):
         "w11_assembled_per_s": report.w11_assembled,
         "relative_difference": report.relative_difference,
         "agrees_within_10pct": report.agrees_within_10pct,
-        "validity": {
-            "ratio": report.validity.ratio,
-            "tau_c_s": process.tau_c,
-            "pass": report.validity.passes,
-            "strong_pass": report.validity.strong_pass,
-        },
+        "validity": _validity_block(process.tau_c, report=report.validity),
     }
-    series = {
-        "columns": ["t_s", "rho_11", "abs_rho_01", "two_re_delta_a"],
-        "rows": [
-            [
-                float(run.times[k]),
-                float(run.rho11[k]),
-                float(abs(run.rho01[k])),
-                float(2.0 * run.delta_a_mean[k].real),
-            ]
-            for k in range(run.times.size)
-        ],
-    }
-    return results, series
+    z = run.rho01  # hypot, not np.abs: it rounds exactly like Python's abs(complex)
+    table = np.column_stack(
+        [run.times, run.rho11, np.hypot(z.real, z.imag), 2.0 * run.delta_a_mean.real]
+    )
+    return results, (["t_s", "rho_11", "abs_rho_01", "two_re_delta_a"], table)
 
 
 _RUNNERS = {  # scenario -> (parameters schema, runner)
@@ -640,22 +617,23 @@ def _write_summary(path: Path, config: dict, results: dict, wall_time: float) ->
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_series(out_dir: Path, series: dict, fmt: str) -> Path:
-    if fmt == "json":
-        path = out_dir / "timeseries.json"
-        records = [
-            {c: _round12(v) if isinstance(v, float) else v
-             for c, v in zip(series["columns"], row)}
-            for row in series["rows"]
-        ]
-        path.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
-        return path
-    path = out_dir / "timeseries.csv"
+def _write_table(path: Path, columns, rows) -> None:
+    """The one CSV writer: the header, then a line of ``_fmt`` cells per row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(series["columns"])
-        for row in series["rows"]:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def _write_series(out_dir: Path, columns, table: np.ndarray, fmt: str) -> Path:
+    rows = table.tolist()
+    if fmt == "json":
+        path = out_dir / "timeseries.json"
+        records = [dict(zip(columns, map(_round12, row))) for row in rows]
+        path.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
+    else:
+        path = out_dir / "timeseries.csv"
+        _write_table(path, columns, rows)
     return path
 
 
@@ -686,12 +664,12 @@ def cmd_run(args) -> int:
     _write_summary(out_dir / "summary.json", config, results, time.monotonic() - started)
     print(f"wrote {out_dir / 'summary.json'}")
     if series is not None:
-        path = _write_series(out_dir, series, config["output"]["format"])
+        path = _write_series(out_dir, *series, config["output"]["format"])
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def _sweep_tasks(config: dict, parameters: dict):
+def _sweep_tasks(config: dict):
     """Grid points as (index, grid values, checked parameters, seed).
 
     Each point is laid over the raw ``parameters`` block before it is
@@ -704,7 +682,7 @@ def _sweep_tasks(config: dict, parameters: dict):
     base_seed = config.get("seed", 0)
     for index, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
         point = dict(zip(keys, combo))
-        params = parameters
+        params = config["parameters"]
         for key, value in point.items():
             params = _set_dotted(params, key, value)
         try:
@@ -724,8 +702,11 @@ def _sweep_worker(task):
 def cmd_sweep(args) -> int:
     started = time.monotonic()
     doc, config, _ = _checked_config(args, sweep=True)
+    # inputs record the raw block each grid point is laid over, so a re-fed
+    # summary gives every point its own defaults
+    config["parameters"] = doc["parameters"]
     # every grid point is checked before any work or output
-    tasks = list(_sweep_tasks(config, doc["parameters"]))
+    tasks = list(_sweep_tasks(config))
     scenario = config["scenario"]
     payloads = [(scenario, params, seed) for _i, _c, params, seed in tasks]
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
@@ -737,17 +718,14 @@ def cmd_sweep(args) -> int:
 
     grid_keys = sorted(config["grid"])
     flat_rows = [_flatten(r) for r in all_results]
-    value_keys = sorted(flat_rows[0]) if flat_rows else []
+    value_keys = sorted(set().union(*flat_rows))  # a key any row has; blank where missing
     out_dir = Path(config["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(grid_keys + value_keys)
-        for (_i, combo, _params, _seed), flat in zip(tasks, flat_rows):
-            row = [_fmt(combo[k]) for k in grid_keys]
-            row += [_fmt(_round12(flat.get(k))) for k in value_keys]
-            writer.writerow(row)
+    _write_table(csv_path, grid_keys + value_keys, (
+        [combo[k] for k in grid_keys] + [flat.get(k) for k in value_keys]
+        for (_i, combo, _params, _seed), flat in zip(tasks, flat_rows)
+    ))
     _write_summary(
         out_dir / "summary.json", config, {"n_points": len(tasks)},
         time.monotonic() - started,
@@ -767,14 +745,14 @@ def main(argv=None) -> int:
         description="Relaxation and spin-selective reaction kinetics, batch runner.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in (("run", cmd_run), ("sweep", cmd_sweep)):
-        p = sub.add_parser(name)
+    run, sweep = (sub.add_parser(name) for name in ("run", "sweep"))
+    for p, handler in ((run, cmd_run), (sweep, cmd_sweep)):
         p.add_argument("config", help="path to a JSON scenario config")
         p.add_argument("--out-dir", default=None)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
         p.set_defaults(handler=handler)
+    run.add_argument("--format", choices=("csv", "json"), default=None)
+    sweep.add_argument("--workers", type=int, default=None)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

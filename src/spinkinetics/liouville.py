@@ -113,7 +113,6 @@ class OperatorMatrix:
             raise ValidationError("matrix flagged Hermitian fails the Hermiticity check")
         self.basis = basis
         self.entries = _freeze(entries)
-        self.hermitian = bool(hermitian)
 
     @property
     def dim(self) -> int:
@@ -121,9 +120,6 @@ class OperatorMatrix:
 
     def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
         return hermitian_defect(self.entries) <= rtol
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
 
     def __repr__(self):
         return f"OperatorMatrix(basis={self.basis.names}, entries=\n{self.entries})"
@@ -239,17 +235,10 @@ class Superoperator:
         _check_same_basis(self, other, "subtract")
         return Superoperator(self.basis, self.matrix - other.matrix)
 
-    def __neg__(self):
-        return Superoperator(self.basis, -self.matrix)
-
     def __mul__(self, scalar):
         return Superoperator(self.basis, self.matrix * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        _check_same_basis(self, other, "compose")
-        return Superoperator(self.basis, self.matrix @ other.matrix)
 
     def __repr__(self):
         return f"Superoperator(basis={self.basis.names}, dim={self.dim})"

@@ -308,7 +308,6 @@ class PerturbativeRun:
     n_batches: int
     batch_mean_a1: np.ndarray = field(repr=False)
     batch_mean_abs_a1_sq: np.ndarray = field(repr=False)
-    batch_mean_delta_a: np.ndarray = field(repr=False)
 
 
 def perturbative_amplitudes(
@@ -369,7 +368,6 @@ def perturbative_amplitudes(
         n_batches=n_batches,
         batch_mean_a1=sum_a1 / counts[:, None],
         batch_mean_abs_a1_sq=sum_abs_a1 / counts[:, None],
-        batch_mean_delta_a=sum_delta / counts[:, None],
     )
 
 
@@ -408,8 +406,9 @@ def extract_rates(run: PerturbativeRun, n_bootstrap: int = 400) -> RateExtractio
 
     The window starts at two correlation times (past the initial transient)
     and ends at min(T, 0.2 / w11-estimate) so the decays stay deep in the
-    linear regime; the estimate is iterated once. Errors come from a bootstrap
-    over trajectory batches (at least 200 resamples).
+    linear regime; a first pass over the whole grid gives the estimate, which
+    is then refined twice. Errors come from a bootstrap over trajectory
+    batches (at least 200 resamples).
     """
     if n_bootstrap < 200:
         raise ValidationError("need at least 200 bootstrap resamples")
@@ -424,11 +423,8 @@ def extract_rates(run: PerturbativeRun, n_bootstrap: int = 400) -> RateExtractio
         return idx
 
     growth = 2.0 * run.delta_a_mean.real
-    idx = window(0.0)
-    w_guess = _slope(t[idx], growth[idx])
-    if w_guess <= 0:
-        raise NumericalError("ensemble average shows no linear growth")
-    for _ in range(2):
+    w_guess = 0.0
+    for _ in range(3):
         idx = window(w_guess)
         w_guess = _slope(t[idx], growth[idx])
         if w_guess <= 0:

@@ -387,6 +387,46 @@ class TestSweep:
             tmp_path / "b" / "sweep.csv"
         ).read_bytes()
 
+    def test_refed_variant_sweep_reproduces_the_sweep(self, tmp_path):
+        config = {
+            "scenario": "radical-pair",
+            "parameters": {
+                "variant": "generalized",
+                "kappa_s_per_s": 2.0,
+                "kappa_t_per_s": 1.0,
+                "time_grid": {"t_max_s": 1.0, "n_points": 5},
+            },
+            "grid": {"variant": ["generalized", "haberkorn"]},
+        }
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["sweep", cfg, "--out-dir", str(tmp_path / "a"), "--workers", "1"]) == 0
+        summary = read_summary(tmp_path / "a")
+        assert summary["inputs"]["parameters"] == config["parameters"]
+        refed = str(tmp_path / "a" / "summary.json")
+        assert main(["sweep", refed, "--out-dir", str(tmp_path / "b"), "--workers", "1"]) == 0
+        assert (tmp_path / "a" / "sweep.csv").read_bytes() == (
+            tmp_path / "b" / "sweep.csv"
+        ).read_bytes()
+
+    def test_header_is_the_union_of_every_row_keys(self, tmp_path):
+        config = {
+            "scenario": "radical-pair",
+            "parameters": {
+                "variant": "haberkorn",
+                "kappa_s_per_s": 2.0,
+                "kappa_t_per_s": 1.0,
+                "time_grid": {"t_max_s": 1.0, "n_points": 5},
+            },
+            "grid": {"compute_yields": [False, True]},
+        }
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["sweep", cfg, "--out-dir", str(tmp_path / "out"), "--workers", "1"]) == 0
+        header, rows = read_csv(tmp_path / "out" / "sweep.csv")
+        assert header[1:] == sorted(header[1:])
+        col = header.index("yields.total")
+        assert [r[col] for r in rows] == ["", "1"]
+        assert all(len(r) == len(header) for r in rows)
+
     def test_whole_grid_is_checked_before_any_point_runs(self, tmp_path, monkeypatch):
         calls = []
         run_point = cli._run_point
@@ -401,9 +441,9 @@ class TestSweep:
 
     def test_point_seeds_do_not_repeat_across_master_seeds(self):
         def seeds(master):
-            config = {"scenario": "radii", "seed": master,
+            config = {"scenario": "radii", "seed": master, "parameters": RADII_PARAMS,
                       "grid": {"D_cm2_per_s": [1e-6, 2e-6, 5e-6]}}
-            return [task[3] for task in _sweep_tasks(config, RADII_PARAMS)]
+            return [task[3] for task in _sweep_tasks(config)]
 
         a, b = seeds(3), seeds(3 + 7919)
         assert len(set(a + b)) == 6
@@ -437,6 +477,18 @@ class TestSweep:
         serial = (tmp_path / "serial" / "sweep.csv").read_text()
         pooled = (tmp_path / "pool" / "sweep.csv").read_text()
         assert serial == pooled
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag", [("run", ["--workers", "2"]),
+                                               ("sweep", ["--format", "json"])])
+    def test_a_flag_the_subcommand_does_not_read_exits_2(self, tmp_path, command, flag):
+        config = {"scenario": "radii", "parameters": RADII_PARAMS, "grid": {"Q_per_s": [1e9]}}
+        cfg = write_config(tmp_path / "cfg.json", config)
+        with pytest.raises(SystemExit) as exc:
+            main([command, cfg, "--out-dir", str(tmp_path / "out"), *flag])
+        assert exc.value.code == 2  # argparse usage error
+        assert not (tmp_path / "out").exists()
 
 
 class TestOracleScenario:
