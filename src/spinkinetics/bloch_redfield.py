@@ -258,15 +258,14 @@ def _cluster_frequencies(freqs: np.ndarray, threshold: float):
 def frequency_decompose(
     h: OperatorMatrix,
     coupling: Union[CouplingOperator, OperatorMatrix],
-    tol: float = FREQUENCY_BIN_RTOL,
 ) -> list:
     """Split a coupling operator into eigenoperator components of H.
 
     Each component collects the matrix elements <j|L|j'> whose Bohr frequency
     nu_j - nu_j' falls into one bin (bins chain together frequencies closer
-    than ``tol * max|nu|``). Every element lands in exactly one bin, so the
-    components sum back to the full operator; the adjoint of the component at
-    +w is the component at -w.
+    than FREQUENCY_BIN_RTOL * max|nu|). Every element lands in exactly one
+    bin, so the components sum back to the full operator; the adjoint of the
+    component at +w is the component at -w.
     """
     lam = coupling.matrix if isinstance(coupling, CouplingOperator) else coupling
     if h.basis != lam.basis:
@@ -277,7 +276,7 @@ def frequency_decompose(
     lam_eig = vecs.conj().T @ lam.entries @ vecs
     freq_matrix = evals[:, None] - evals[None, :]
     scale = float(np.abs(evals).max())
-    threshold = tol * (scale if scale > 0 else 1.0)
+    threshold = FREQUENCY_BIN_RTOL * (scale if scale > 0 else 1.0)
     reps, labels = _cluster_frequencies(freq_matrix.reshape(-1), threshold)
     labels = labels.reshape(freq_matrix.shape)
 

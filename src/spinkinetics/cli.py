@@ -493,19 +493,25 @@ _ORACLE = {
 }
 
 
-def _run_oracle(params: dict, seed):
+def _oracle_setup(params: dict, seed: int):
+    """The noise process and the closed loop's duration, each checking the keys it spans."""
     process = stochastic.NoiseProcess(
         kind=stochastic.NoiseKind(params["kind"]),
         variance=params["variance_rad2_s2"],
         tau_c=params["tau_c_s"],
-        seed=seed if seed is not None else 12345,
+        seed=seed,
         dt=params.get("dt_s"),
     )
+    return process, stochastic.closed_loop_duration(process, params.get("t_total_s"))
+
+
+def _run_oracle(params: dict, seed):
+    process, duration = _oracle_setup(params, seed if seed is not None else 12345)
     report = stochastic.closed_loop_check(
         process,
         omega_s=params["omega_s_rad_s"],
         omega0=params["omega0_rad_s"],
-        duration=params.get("t_total_s"),
+        duration=duration,
         n_traj=params["n_traj"],
         n_spectrum_paths=params["n_spectrum_paths"],
     )
@@ -533,11 +539,11 @@ def _run_oracle(params: dict, seed):
     return results, (["t_s", "rho_11", "abs_rho_01", "two_re_delta_a"], table)
 
 
-_RUNNERS = {  # scenario -> (parameters schema, runner)
-    "three-state": (_THREE_STATE, _run_three_state),
-    "radical-pair": (_RADICAL_PAIR, _run_radical_pair),
-    "radii": (_RADII, _run_radii),
-    "oracle": (_ORACLE, _run_oracle),
+_RUNNERS = {  # scenario -> (parameters schema, runner, check of the keys that span each other)
+    "three-state": (_THREE_STATE, _run_three_state, None),
+    "radical-pair": (_RADICAL_PAIR, _run_radical_pair, None),
+    "radii": (_RADII, _run_radii, None),
+    "oracle": (_ORACLE, _run_oracle, lambda params: _oracle_setup(params, 0)),
 }
 
 
@@ -572,7 +578,7 @@ def _normalize_config(doc: dict, *, sweep: bool):
         blocks["grid"] = (REQUIRED, _grid)
     schema = _Tagged("scenario", {
         name: {"parameters": (REQUIRED, parameters), **blocks}
-        for name, (parameters, _) in _RUNNERS.items()
+        for name, (parameters, _, _) in _RUNNERS.items()
     })
     inputs, checked = _block(schema, doc, "config")
     return inputs, checked["parameters"]
@@ -639,7 +645,7 @@ def _write_series(out_dir: Path, columns, table: np.ndarray, fmt: str) -> Path:
 
 def _run_point(scenario: str, params: dict, seed):
     """Execute one scenario evaluation (also the sweep worker)."""
-    _, runner = _RUNNERS[scenario]
+    _, runner, _ = _RUNNERS[scenario]
     return runner(params, seed)
 
 
@@ -673,10 +679,11 @@ def _sweep_tasks(config: dict):
     """Grid points as (index, grid values, checked parameters, seed).
 
     Each point is laid over the raw ``parameters`` block before it is
-    checked, so values derived from swept keys follow the grid. Seeds come
-    from SeedSequence((master seed, index)): no stream is shared.
+    checked, key by key and then by the scenario's check of the keys that
+    span each other, so values derived from swept keys follow the grid. Seeds
+    come from SeedSequence((master seed, index)): no stream is shared.
     """
-    schema, _ = _RUNNERS[config["scenario"]]
+    schema, _, cross_check = _RUNNERS[config["scenario"]]
     grid = config["grid"]
     keys = sorted(grid)
     base_seed = config.get("seed", 0)
@@ -687,7 +694,9 @@ def _sweep_tasks(config: dict):
             params = _set_dotted(params, key, value)
         try:
             _, checked = _block(schema, params, "config.parameters")
-        except ConfigError as exc:
+            if cross_check is not None:
+                cross_check(checked)
+        except ValidationError as exc:
             raise ConfigError(f"grid point {point}: {exc}") from None
         seed = int(np.random.SeedSequence((base_seed, index)).generate_state(1)[0])
         yield index, point, checked, seed
@@ -709,8 +718,10 @@ def cmd_sweep(args) -> int:
     tasks = list(_sweep_tasks(config))
     scenario = config["scenario"]
     payloads = [(scenario, params, seed) for _i, _c, params, seed in tasks]
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    if workers > 1 and len(tasks) > 1:
+    cpus = os.cpu_count() or 1
+    # a fork pool starts every worker at once, however few points there are
+    workers = min(args.workers or cpus, len(tasks), cpus)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             all_results = list(pool.map(_sweep_worker, payloads))
     else:
@@ -718,7 +729,10 @@ def cmd_sweep(args) -> int:
 
     grid_keys = sorted(config["grid"])
     flat_rows = [_flatten(r) for r in all_results]
-    value_keys = sorted(set().union(*flat_rows))  # a key any row has; blank where missing
+    # a key any row has, blank where missing, unless another row expands it
+    # (no bare ``yields`` beside ``yields.total``)
+    keys = set().union(*flat_rows)
+    value_keys = sorted(k for k in keys if not any(o.startswith((k + ".", k + "[")) for o in keys))
     out_dir = Path(config["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
@@ -739,6 +753,12 @@ def _error_line(kind: str, exc: Exception) -> None:
     print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
 
 
+def _at_least_one(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="spinkinetics",
@@ -752,7 +772,7 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.set_defaults(handler=handler)
     run.add_argument("--format", choices=("csv", "json"), default=None)
-    sweep.add_argument("--workers", type=int, default=None)
+    sweep.add_argument("--workers", type=_at_least_one, default=None)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

@@ -206,26 +206,21 @@ class EqualRadiusReport:
     radii_match: bool
 
 
-def equal_radius_regime_check(
-    p: DiffusionParams,
-    tolerance: float = 0.2,
-    q_min: float = 100.0,
-    ratio_bounds: tuple = (1.0, 10.0),
-) -> EqualRadiusReport:
+def equal_radius_regime_check(p: DiffusionParams, tolerance: float = 0.2) -> EqualRadiusReport:
     """Check whether l_ss ~ l_st, i.e. high reactivity with moderate exchange.
 
-    The regime asks for q_s = kappa0_s d lambda0 / D >> 1 (threshold q_min)
-    together with |j0| / (D alpha^2) of order one (within ratio_bounds; the
-    lower edge is included so the dephasing-radius formula is evaluated right
-    at its boundary). ``radii_match`` is true when additionally the radii
+    The regime asks for q_s = kappa0_s d lambda0 / D >> 1 (at least 100)
+    together with |j0| / (D alpha^2) of order one (from 1 to 10; the lower
+    edge is included so the dephasing-radius formula is evaluated right at
+    its boundary). ``radii_match`` is true when additionally the radii
     agree within ``tolerance`` relative to l_ss.
     """
     kappa0_s = p.require("kappa0_s", positive=False)
     q_s = kappa0_s * p.d * p.lambda0 / p.big_d
     ratio = abs(p.j0) / (p.big_d * p.alpha**2)
-    in_regime = q_s >= q_min and ratio_bounds[0] <= ratio <= ratio_bounds[1]
+    in_regime = q_s >= 100.0 and 1.0 <= ratio <= 10.0
     l_ss = reaction_radius(kappa0_s, p)
-    l_st = p.d + _dephasing_excess(p) if ratio >= ratio_bounds[0] else None
+    l_st = p.d + _dephasing_excess(p) if ratio >= 1.0 else None
     gap = abs(l_st - l_ss) / l_ss if (l_st is not None and l_ss > 0) else None
     return EqualRadiusReport(
         q_s=q_s,

@@ -201,21 +201,19 @@ class CoherenceFit:
     RESIDUAL_THRESHOLD = 1e-3
 
 
-def coherence_decay_rate(
-    m: ReactionModel, h: PairHamiltonian, n_points: int = 60
-) -> CoherenceFit:
+def coherence_decay_rate(m: ReactionModel, h: PairHamiltonian) -> CoherenceFit:
     """Measure the ST0 coherence decay by propagation and log-linear fit.
 
-    Starts from the equal S/T0 superposition and fits log|rho_ST0| over three
-    expected decay times. A root-mean-square fit residual above 1e-3 flags a
-    non-exponential decay (typically a coherent S-T0 mixing term); the rate is
-    still returned.
+    Starts from the equal S/T0 superposition and fits log|rho_ST0| on 61
+    points over three expected decay times. A root-mean-square fit residual
+    above 1e-3 flags a non-exponential decay (typically a coherent S-T0 mixing
+    term); the rate is still returned.
     """
     expected = rate_elements(m).k_st
     if expected <= 0.0:
         return CoherenceFit(rate=0.0, residual=0.0, exponential=True)
     rho0 = DensityMatrix.pure(PAIR_BASIS, np.array([1, 0, 1, 0]) / np.sqrt(2))
-    times = np.linspace(0.0, 3.0 / expected, n_points + 1)
+    times = np.linspace(0.0, 3.0 / expected, 61)
     prop = propagate(generator(m, h), rho0, times)
     t = prop.times
     mags = np.abs(prop.coherence("S", "T0"))

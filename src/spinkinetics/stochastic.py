@@ -14,7 +14,8 @@ against the assembled relaxation supermatrix.
 
 Noise generation is exact (no Euler discretisation bias): the
 Ornstein-Uhlenbeck update uses the analytic decay plus Gaussian kick, and the
-dichotomous process draws exponential waiting times. Both share the
+dichotomous process flips its sign per step with the exact probability of an
+odd number of flips in dt. Both share the
 correlation function variance * exp(-t / tau_c).
 """
 
@@ -45,6 +46,9 @@ from .three_state import THREE_STATE_BASIS
 CHUNK = 2048
 #: hard ceiling on T * sqrt(<v^2>) for the second-order window
 PERTURBATIVE_WINDOW_LIMIT = 0.5
+#: trajectory batches behind the bootstrap, and its resample count
+N_BATCHES = 200
+N_BOOTSTRAP = 400
 
 
 class NoiseKind(enum.Enum):
@@ -97,22 +101,13 @@ def _ou_chunk(p: NoiseProcess, n_steps: int, n_paths: int, rng) -> np.ndarray:
 
 
 def _dichotomous_chunk(p: NoiseProcess, n_steps: int, n_paths: int, rng) -> np.ndarray:
-    sigma = math.sqrt(p.variance)
-    total = n_steps * p.dt
-    mean_gap = 2.0 * p.tau_c  # flip rate 1/(2 tau_c) gives exp(-t/tau_c) correlation
-    expected = total / mean_gap
-    m = int(expected + 10.0 * math.sqrt(expected + 1.0) + 20.0)
-    flips = np.cumsum(rng.exponential(mean_gap, (n_paths, m)), axis=1)
-    while np.any(flips[:, -1] < total):
-        extra = np.cumsum(rng.exponential(mean_gap, (n_paths, m)), axis=1)
-        flips = np.concatenate([flips, flips[:, -1:] + extra], axis=1)
-    start = rng.integers(0, 2, n_paths) * 2 - 1
-    times = np.arange(n_steps + 1) * p.dt
-    counts = np.empty((n_paths, n_steps + 1), dtype=np.int64)
-    for i in range(n_paths):
-        counts[i] = np.searchsorted(flips[i], times, side="right")
-    signs = np.where(counts % 2 == 0, 1.0, -1.0)
-    return sigma * start[:, None] * signs
+    # flip rate 1/(2 tau_c) gives exp(-t/tau_c) correlation; a step flips the
+    # sign when it holds an odd number of flips, with probability q
+    q = 0.5 * -math.expm1(-p.dt / p.tau_c)
+    signs = np.empty((n_paths, n_steps + 1))
+    signs[:, 0] = rng.integers(0, 2, n_paths) * 2 - 1
+    signs[:, 1:] = np.where(rng.random((n_paths, n_steps)) < q, -1.0, 1.0)
+    return math.sqrt(p.variance) * np.cumprod(signs, axis=1)
 
 
 def _noise_chunk(p: NoiseProcess, n_steps: int, n_paths: int, stream: int, index: int):
@@ -201,12 +196,12 @@ class CorrelationSpectrum:
         return Tabulated(grid, np.clip(self.spectrum(grid), 0.0, None))
 
 
-def correlation_spectrum(paths: NoisePaths, max_lag: Optional[float] = None) -> CorrelationSpectrum:
+def correlation_spectrum(paths: NoisePaths) -> CorrelationSpectrum:
     """Estimate K(t) = <v(t) v(0)> across paths and time origins.
 
-    Needs at least 1000 paths for a stable spectral estimate. Lags run to
-    ``max_lag`` (default ten correlation times) and the cosine transform uses
-    a rectangular window over that range.
+    Needs at least 1000 paths for a stable spectral estimate. Lags run to ten
+    correlation times and the cosine transform uses a rectangular window over
+    that range.
     """
     if paths.n_paths < MIN_SPECTRUM_PATHS:
         raise ValidationError(
@@ -214,8 +209,7 @@ def correlation_spectrum(paths: NoisePaths, max_lag: Optional[float] = None) -> 
         )
     p = paths.process
     n_steps = paths.times.size - 1
-    lag_cap = max_lag if max_lag is not None else 10.0 * p.tau_c
-    n_lags = min(int(round(lag_cap / p.dt)), n_steps // 2)
+    n_lags = min(int(round(10.0 * p.tau_c / p.dt)), n_steps // 2)
     if n_lags < 2:
         raise ValidationError("paths too short for the requested lag range")
     v = paths.values
@@ -296,15 +290,12 @@ class PerturbativeRun:
     """
 
     process: NoiseProcess
-    omega_s: float
-    omega0: float
     times: np.ndarray
     delta_a_mean: np.ndarray
     rho11: np.ndarray
     rho01: np.ndarray
     leak: np.ndarray
     norm_defect: float
-    n_traj: int
     n_batches: int
     batch_mean_a1: np.ndarray = field(repr=False)
     batch_mean_abs_a1_sq: np.ndarray = field(repr=False)
@@ -316,17 +307,15 @@ def perturbative_amplitudes(
     duration: float,
     n_traj: int,
     omega0: float = 0.0,
-    n_batches: int = 200,
-    stream: int = 0,
 ) -> PerturbativeRun:
     """Run the trajectory ensemble and average amplitudes and da(t).
 
     Processes the ensemble in fixed-size chunks so memory stays flat and the
     result is bit-identical for a given seed regardless of ensemble splitting.
+    Draws noise stream 0, in min(N_BATCHES, n_traj) batches of trajectories.
     """
     _check_perturbative_window(p, duration)
-    if n_traj < n_batches:
-        n_batches = max(1, n_traj)
+    n_batches = max(1, min(N_BATCHES, n_traj))
     n_steps = int(math.ceil(duration / p.dt - 1e-9))
     times = np.arange(n_steps + 1) * p.dt
     nt = n_steps + 1
@@ -338,7 +327,7 @@ def perturbative_amplitudes(
     norm_defect = 0.0
     offset = 0
     for i, size in enumerate(_chunk_sizes(n_traj)):
-        v = _noise_chunk(p, n_steps, size, stream, i)
+        v = _noise_chunk(p, n_steps, size, 0, i)
         delta = _second_order_amplitude(v, omega_s, p.dt, times)
         a1, a2 = _schroedinger_block(v, omega_s, p.dt)
         norms = np.abs(a1) ** 2 + np.abs(a2) ** 2 + 0.5
@@ -356,15 +345,12 @@ def perturbative_amplitudes(
     mean_a1 = sum_a1.sum(axis=0) / n_traj
     return PerturbativeRun(
         process=p,
-        omega_s=omega_s,
-        omega0=omega0,
         times=times,
         delta_a_mean=sum_delta.sum(axis=0) / n_traj,
         rho11=sum_abs_a1.sum(axis=0) / n_traj / 0.5,
         rho01=np.conj(a0) * mean_a1 / 0.5,
         leak=sum_abs_a2.sum(axis=0) / n_traj / 0.5,
         norm_defect=norm_defect,
-        n_traj=n_traj,
         n_batches=n_batches,
         batch_mean_a1=sum_a1 / counts[:, None],
         batch_mean_abs_a1_sq=sum_abs_a1 / counts[:, None],
@@ -375,14 +361,10 @@ def perturbative_amplitudes(
 # rate extraction
 # ---------------------------------------------------------------------------
 
-def _slope(t: np.ndarray, y: np.ndarray) -> float:
+def _slope(t: np.ndarray, y: np.ndarray):
+    """Least-squares slope of y against t; one per row when y is 2-D."""
     tc = t - t.mean()
-    return float((tc @ y) / (tc @ tc))
-
-
-def _slopes_rows(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    tc = t - t.mean()
-    return (rows @ tc) / (tc @ tc)
+    return (y @ tc) / (tc @ tc)
 
 
 @dataclass(frozen=True)
@@ -398,20 +380,17 @@ class RateExtraction:
     ratio_ci95: tuple
     window: tuple
     w11_from_delta_a: float
-    n_bootstrap: int
 
 
-def extract_rates(run: PerturbativeRun, n_bootstrap: int = 400) -> RateExtraction:
+def extract_rates(run: PerturbativeRun) -> RateExtraction:
     """Least-squares slopes over the automatically selected linear window.
 
     The window starts at two correlation times (past the initial transient)
     and ends at min(T, 0.2 / w11-estimate) so the decays stay deep in the
     linear regime; a first pass over the whole grid gives the estimate, which
     is then refined twice. Errors come from a bootstrap over trajectory
-    batches (at least 200 resamples).
+    batches (N_BOOTSTRAP resamples).
     """
-    if n_bootstrap < 200:
-        raise ValidationError("need at least 200 bootstrap resamples")
     t = run.times
     tau_c = run.process.tau_c
 
@@ -431,23 +410,23 @@ def extract_rates(run: PerturbativeRun, n_bootstrap: int = 400) -> RateExtractio
             raise NumericalError("ensemble average shows no linear growth")
     tw = t[idx]
 
-    w11 = _slope(tw, -np.log(run.rho11[idx]))
-    w01 = _slope(tw, -np.log(np.abs(run.rho01[idx])))
-    w11_delta = _slope(tw, growth[idx])
+    w11 = float(_slope(tw, -np.log(run.rho11[idx])))
+    w01 = float(_slope(tw, -np.log(np.abs(run.rho01[idx]))))
+    w11_delta = float(_slope(tw, growth[idx]))
 
     rng = np.random.default_rng(np.random.SeedSequence((run.process.seed, 0xB007)))
     b = run.n_batches
-    picks = rng.integers(0, b, size=(n_bootstrap, b))
-    weights = np.zeros((n_bootstrap, b))
-    for r in range(n_bootstrap):
+    picks = rng.integers(0, b, size=(N_BOOTSTRAP, b))
+    weights = np.zeros((N_BOOTSTRAP, b))
+    for r in range(N_BOOTSTRAP):
         weights[r] = np.bincount(picks[r], minlength=b)
     weights /= b
 
     rho11_rs = (weights @ run.batch_mean_abs_a1_sq[:, idx]) / 0.5
     mean_a1_rs = weights @ run.batch_mean_a1[:, idx]
     abs_rho01_rs = np.abs(mean_a1_rs) * math.sqrt(2.0)
-    w11_rs = _slopes_rows(tw, -np.log(rho11_rs))
-    w01_rs = _slopes_rows(tw, -np.log(abs_rho01_rs))
+    w11_rs = _slope(tw, -np.log(rho11_rs))
+    w01_rs = _slope(tw, -np.log(abs_rho01_rs))
     ratio_rs = w01_rs / w11_rs
 
     return RateExtraction(
@@ -463,7 +442,6 @@ def extract_rates(run: PerturbativeRun, n_bootstrap: int = 400) -> RateExtractio
         ),
         window=(float(tw[0]), float(tw[-1])),
         w11_from_delta_a=w11_delta,
-        n_bootstrap=n_bootstrap,
     )
 
 
@@ -480,8 +458,15 @@ class ClosedLoopReport:
     relative_difference: float
     agrees_within_10pct: bool
     validity: ValidityReport
-    spectrum: CorrelationSpectrum
     run: PerturbativeRun = field(repr=False)
+
+
+def closed_loop_duration(p: NoiseProcess, duration: Optional[float]) -> float:
+    """The closed loop's run time, ``duration`` or else 60 correlation times,
+    checked against the second-order window."""
+    duration = duration if duration is not None else 60.0 * p.tau_c
+    _check_perturbative_window(p, duration)
+    return duration
 
 
 def closed_loop_check(
@@ -499,8 +484,8 @@ def closed_loop_check(
     population transfer rate; agreement with the trajectory slope within 10%
     closes the loop.
     """
-    duration = duration if duration is not None else 60.0 * p.tau_c
-    run = perturbative_amplitudes(p, omega_s, duration, n_traj, omega0=omega0, stream=0)
+    duration = closed_loop_duration(p, duration)
+    run = perturbative_amplitudes(p, omega_s, duration, n_traj, omega0=omega0)
     rates = extract_rates(run)
     corr_paths = simulate_noise(
         p, max(duration, 60.0 * p.tau_c), n_paths=n_spectrum_paths, stream=1
@@ -530,6 +515,5 @@ def closed_loop_check(
         relative_difference=rel,
         agrees_within_10pct=rel <= 0.1,
         validity=validity_check(r, p.tau_c),
-        spectrum=spectrum,
         run=run,
     )

@@ -423,16 +423,24 @@ class TestSweep:
         assert main(["sweep", cfg, "--out-dir", str(tmp_path / "out"), "--workers", "1"]) == 0
         header, rows = read_csv(tmp_path / "out" / "sweep.csv")
         assert header[1:] == sorted(header[1:])
+        assert "yields" not in header
         col = header.index("yields.total")
         assert [r[col] for r in rows] == ["", "1"]
         assert all(len(r) == len(header) for r in rows)
 
-    def test_whole_grid_is_checked_before_any_point_runs(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("scenario, grid", [
+        ("three-state", {"omega_s_rad_s": [1e9, 2e9, -1e9]}),
+        ("oracle", {"tau_c_s": [1e-13, 5e-14]}),  # dt_s 5e-15 above tau_c / 20
+        ("oracle", {"variance_rad2_s2": [1e18, 1e24]}),  # outside the second-order window
+    ], ids=["three-state", "oracle-dt", "oracle-window"])
+    def test_whole_grid_is_checked_before_any_point_runs(
+        self, tmp_path, monkeypatch, scenario, grid
+    ):
         calls = []
         run_point = cli._run_point
         monkeypatch.setattr(cli, "_run_point", lambda *a: calls.append(a) or run_point(*a))
-        config = copy.deepcopy(VALID["three-state"])
-        config["grid"] = {"omega_s_rad_s": [1e9, 2e9, -1e9]}
+        config = copy.deepcopy(VALID[scenario])
+        config["grid"] = grid
         cfg = write_config(tmp_path / "cfg.json", config)
         out = str(tmp_path / "out")
         assert main(["sweep", cfg, "--out-dir", out, "--workers", "1"]) == EXIT_VALIDATION
@@ -478,10 +486,37 @@ class TestSweep:
         pooled = (tmp_path / "pool" / "sweep.csv").read_text()
         assert serial == pooled
 
+    def test_pool_is_no_larger_than_the_grid(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class SerialPool:  # records the pool size and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        config = {
+            "scenario": "radii",
+            "parameters": RADII_PARAMS,
+            "grid": {"D_cm2_per_s": [1e-6, 2e-6, 5e-6]},
+        }
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["sweep", cfg, "--out-dir", str(tmp_path / "out"), "--workers", "64"]) == 0
+        assert all(n <= 3 for n in sizes)
+
 
 class TestFlags:
     @pytest.mark.parametrize("command, flag", [("run", ["--workers", "2"]),
-                                               ("sweep", ["--format", "json"])])
+                                               ("sweep", ["--format", "json"]),
+                                               ("sweep", ["--workers", "0"])])
     def test_a_flag_the_subcommand_does_not_read_exits_2(self, tmp_path, command, flag):
         config = {"scenario": "radii", "parameters": RADII_PARAMS, "grid": {"Q_per_s": [1e9]}}
         cfg = write_config(tmp_path / "cfg.json", config)

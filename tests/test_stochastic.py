@@ -65,6 +65,8 @@ class TestNoiseStatistics:
         spec = correlation_spectrum(paths)
         lag_idx = int(round(TAU / paths.process.dt))
         assert spec.correlation[lag_idx] == pytest.approx(VAR / math.e, rel=0.05)
+        one_step = VAR * math.exp(-paths.process.dt / TAU)
+        assert spec.correlation[1] == pytest.approx(one_step, rel=0.05)
 
     def test_seeded_determinism(self):
         a = simulate_noise(ou(seed=9), 20 * TAU, n_paths=64)
@@ -169,11 +171,6 @@ class TestRateExtraction:
         run = perturbative_amplitudes(ou(seed=20), 1 / TAU, 60 * TAU, n_traj=4000)
         rates = extract_rates(run)
         assert rates.w01 == pytest.approx(0.5 * rates.w11, rel=2 * rates.ratio_stderr + 0.02)
-
-    def test_bootstrap_floor_enforced(self):
-        run = perturbative_amplitudes(ou(seed=21), 0.0, 40 * TAU, n_traj=512)
-        with pytest.raises(ValidationError):
-            extract_rates(run, n_bootstrap=50)
 
 
 class TestClosedLoop:
