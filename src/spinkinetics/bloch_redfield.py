@@ -231,8 +231,10 @@ class FrequencyComponent:
 def _cluster_frequencies(freqs: np.ndarray, threshold: float):
     """Cluster label per frequency and a representative per cluster.
 
-    Sorted neighbours closer than ``threshold`` chain into one cluster; the
-    representatives are exactly antisymmetric under negation.
+    Sorted neighbours closer than ``threshold`` chain into one cluster. Bohr
+    frequencies are exactly antisymmetric (fl(a - b) = -fl(b - a)), so clusters
+    mirror about the middle one, which holds the zeros; half the difference of
+    mirrored means puts each pair at exactly opposite frequencies, the middle at 0.
     """
     order = np.argsort(freqs)
     sorted_f = freqs[order]
@@ -242,17 +244,7 @@ def _cluster_frequencies(freqs: np.ndarray, threshold: float):
     reps = np.array(
         [float(np.mean(c)) for c in np.split(sorted_f, np.flatnonzero(breaks) + 1)]
     )
-    # the multiset of Bohr frequencies is symmetric under negation; enforce the
-    # pairing exactly so adjoint components land at exactly opposite frequencies
-    n = reps.size
-    for i in range(n // 2):
-        f = 0.5 * (reps[n - 1 - i] - reps[i])
-        reps[n - 1 - i] = f
-        reps[i] = -f
-    mid = n // 2
-    if n % 2 == 1 and abs(reps[mid]) <= threshold:
-        reps[mid] = 0.0
-    return reps, labels
+    return 0.5 * (reps - reps[::-1]), labels
 
 
 def frequency_decompose(

@@ -4,8 +4,9 @@ Config keys carry explicit unit suffixes (``kappa_s_per_s``, ``d_cm``,
 ``omega_s_rad_s``) because unit slips are the dominant failure mode when
 mixing cm-scale diffusion inputs with s^-1 rates. Each scenario's keys are
 one table of defaults and checks; unknown keys are rejected, and every value,
-sweep grid points included, is checked before any work starts. All floating outputs are printed with 12 significant digits so outputs are
-reproducible bit for bit for a fixed seed.
+sweep grid points included, is checked before any work starts. All floating
+outputs are printed with 12 significant digits so outputs are reproducible bit
+for bit for a fixed seed.
 
 Exit codes: 0 success, 2 config parse failure, 3 validation or regime
 failure, 4 numerical failure. Errors print a one-line JSON reason to stderr.
@@ -650,23 +651,41 @@ def _run_point(scenario: str, params: dict, seed):
 
 
 def _checked_config(args, *, sweep: bool):
+    """(inputs, run parameters or sweep tasks, output directory).
+
+    The directory is created after every check, grid points included, and
+    before any runner starts.
+    """
     doc = _load_config(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed  # checked like config.seed
     inputs, params = _normalize_config(doc, sweep=sweep)
     if args.out_dir is not None:
         inputs["output"]["dir"] = args.out_dir
-    return doc, inputs, params
+    if sweep:
+        # inputs record the raw block each grid point is laid over, so a
+        # re-fed summary gives every point its own defaults
+        inputs["parameters"] = doc["parameters"]
+        work = list(_sweep_tasks(inputs))
+    else:
+        _, _, cross_check = _RUNNERS[inputs["scenario"]]
+        if cross_check is not None:
+            cross_check(params)
+        work = params
+    out_dir = Path(inputs["output"]["dir"])
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"config.output.dir {str(out_dir)!r} cannot be created: {exc}") from None
+    return inputs, work, out_dir
 
 
 def cmd_run(args) -> int:
     started = time.monotonic()
-    _, config, params = _checked_config(args, sweep=False)
+    config, params, out_dir = _checked_config(args, sweep=False)
     if args.format is not None:
         config["output"]["format"] = args.format
     results, series = _run_point(config["scenario"], params, config.get("seed"))
-    out_dir = Path(config["output"]["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_summary(out_dir / "summary.json", config, results, time.monotonic() - started)
     print(f"wrote {out_dir / 'summary.json'}")
     if series is not None:
@@ -710,12 +729,7 @@ def _sweep_worker(task):
 
 def cmd_sweep(args) -> int:
     started = time.monotonic()
-    doc, config, _ = _checked_config(args, sweep=True)
-    # inputs record the raw block each grid point is laid over, so a re-fed
-    # summary gives every point its own defaults
-    config["parameters"] = doc["parameters"]
-    # every grid point is checked before any work or output
-    tasks = list(_sweep_tasks(config))
+    config, tasks, out_dir = _checked_config(args, sweep=True)
     scenario = config["scenario"]
     payloads = [(scenario, params, seed) for _i, _c, params, seed in tasks]
     cpus = os.cpu_count() or 1
@@ -733,8 +747,6 @@ def cmd_sweep(args) -> int:
     # (no bare ``yields`` beside ``yields.total``)
     keys = set().union(*flat_rows)
     value_keys = sorted(k for k in keys if not any(o.startswith((k + ".", k + "[")) for o in keys))
-    out_dir = Path(config["output"]["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     _write_table(csv_path, grid_keys + value_keys, (
         [combo[k] for k in grid_keys] + [flat.get(k) for k in value_keys]

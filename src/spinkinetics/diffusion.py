@@ -201,7 +201,6 @@ class EqualRadiusReport:
     exchange_ratio: float
     in_regime: bool
     l_ss: float
-    l_st: Optional[float]
     relative_gap: Optional[float]
     radii_match: bool
 
@@ -227,7 +226,6 @@ def equal_radius_regime_check(p: DiffusionParams, tolerance: float = 0.2) -> Equ
         exchange_ratio=ratio,
         in_regime=in_regime,
         l_ss=l_ss,
-        l_st=l_st,
         relative_gap=gap,
         radii_match=bool(in_regime and gap is not None and gap <= tolerance),
     )

@@ -85,6 +85,20 @@ class BasisLabel:
                 f"no state {name!r} in basis {self.names}"
             ) from None
 
+    def vec_index(self, row: str, col: str) -> int:
+        """Row-major position of rho[row, col] in ``vectorize(rho)``."""
+        return self.index(row) * self.dim + self.index(col)
+
+
+def _checked_entries(entries, side: int, what: str) -> np.ndarray:
+    """Complex (side, side) array with finite entries, else raise."""
+    entries = np.asarray(entries, dtype=complex)
+    if entries.shape != (side, side):
+        raise DimensionMismatchError(f"{what} shape {entries.shape} is not {(side, side)}")
+    if not np.all(np.isfinite(entries)):
+        raise ValidationError(f"{what} entries must be finite")
+    return entries
+
 
 def _check_same_basis(a, b, what: str) -> None:
     if a.basis != b.basis:
@@ -102,13 +116,7 @@ class OperatorMatrix:
     """
 
     def __init__(self, basis: BasisLabel, entries, hermitian: bool = False):
-        entries = np.asarray(entries, dtype=complex)
-        if entries.shape != (basis.dim, basis.dim):
-            raise DimensionMismatchError(
-                f"operator shape {entries.shape} does not match basis dimension {basis.dim}"
-            )
-        if not np.all(np.isfinite(entries)):
-            raise ValidationError("operator entries must be finite")
+        entries = _checked_entries(entries, basis.dim, "operator")
         if hermitian and hermitian_defect(entries) > HERMITIAN_RTOL:
             raise ValidationError("matrix flagged Hermitian fails the Hermiticity check")
         self.basis = basis
@@ -129,13 +137,7 @@ class DensityMatrix:
     """Hermitian state matrix; trace may fall below one under reactive decay."""
 
     def __init__(self, basis: BasisLabel, entries):
-        entries = np.asarray(entries, dtype=complex)
-        if entries.shape != (basis.dim, basis.dim):
-            raise DimensionMismatchError(
-                f"state shape {entries.shape} does not match basis dimension {basis.dim}"
-            )
-        if not np.all(np.isfinite(entries)):
-            raise ValidationError("density matrix entries must be finite")
+        entries = _checked_entries(entries, basis.dim, "state")
         if (hermitian_defect(entries) > DENSITY_HERMITIAN_TOL
                 or abs(np.trace(entries).imag) > DENSITY_HERMITIAN_TOL):
             raise ValidationError("density matrix is not Hermitian")
@@ -175,14 +177,7 @@ class Superoperator:
     """Linear map on vectorised density matrices (N^2 x N^2 complex, s^-1)."""
 
     def __init__(self, basis: BasisLabel, matrix):
-        matrix = np.asarray(matrix, dtype=complex)
-        d2 = basis.dim * basis.dim
-        if matrix.shape != (d2, d2):
-            raise DimensionMismatchError(
-                f"supermatrix shape {matrix.shape} does not match basis dimension {basis.dim}"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise ValidationError("supermatrix entries must be finite")
+        matrix = _checked_entries(matrix, basis.dim**2, "supermatrix")
         self.basis = basis
         self.matrix = _freeze(matrix)
 

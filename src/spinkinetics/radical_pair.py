@@ -175,19 +175,14 @@ class RateElements:
 
 def rate_elements(m: ReactionModel) -> RateElements:
     """Read the diagonal rates off K and check triplet-projection independence."""
-    k = reaction_supermatrix(m).matrix
-    dim = 4
-
-    def diag(i, j):
-        idx = dim * i + j
-        return k[idx, idx].real
-
-    k_tt = [diag(t, t) for t in (_TP, _T0, _TM)]
-    k_st = [diag(_S, t) for t in (_TP, _T0, _TM)]
+    k = np.diagonal(reaction_supermatrix(m).matrix).real
+    at = PAIR_BASIS.vec_index
+    k_tt = [k[at(t, t)] for t in ("T+", "T0", "T-")]
+    k_st = [k[at("S", t)] for t in ("T+", "T0", "T-")]
     scale = max(abs(v) for v in (k_tt + k_st)) or 1.0
     if max(k_tt) - min(k_tt) > 1e-12 * scale or max(k_st) - min(k_st) > 1e-12 * scale:
         raise ValidationError("reaction rates depend on the triplet projection")
-    return RateElements(k_ss=diag(_S, _S), k_tt=k_tt[0], k_st=k_st[0])
+    return RateElements(k_ss=k[at("S", "S")], k_tt=k_tt[0], k_st=k_st[0])
 
 
 @dataclass(frozen=True)

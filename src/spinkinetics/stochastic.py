@@ -40,7 +40,7 @@ from .bloch_redfield import (
 )
 from .errors import NumericalError, ValidationError
 from .liouville import OperatorMatrix
-from .three_state import THREE_STATE_BASIS
+from .three_state import SX, THREE_STATE_BASIS, hamiltonian
 
 #: fixed chunk size so that seeding is independent of ensemble size and host
 CHUNK = 2048
@@ -493,21 +493,10 @@ def closed_loop_check(
     spectrum = correlation_spectrum(corr_paths)
     grid_top = max(3.0 * abs(omega_s), 6.0 / p.tau_c)
     tabulated = spectrum.to_tabulated(np.linspace(0.0, grid_top, 601))
-    basis = THREE_STATE_BASIS
-    h = OperatorMatrix(
-        basis, np.diag([omega0, 0.5 * omega_s, -0.5 * omega_s]), hermitian=True
-    )
-    coupler = np.zeros((3, 3), dtype=complex)
-    coupler[1, 2] = coupler[2, 1] = 1.0
-    bath = BathSpec.uncorrelated(
-        [CouplingOperator("v", OperatorMatrix(basis, coupler, hermitian=True), 0)],
-        [tabulated],
-        beta=0.0,
-    )
-    r = relaxation_supermatrix(bath, h)
-    one = basis.index("1")
-    rho11 = one * basis.dim + one  # row-major vec index of rho_11
-    w11_assembled = -float(r.matrix[rho11, rho11].real)
+    coupling = CouplingOperator("v", OperatorMatrix(THREE_STATE_BASIS, SX, hermitian=True), 0)
+    bath = BathSpec.uncorrelated([coupling], [tabulated], beta=0.0)
+    r = relaxation_supermatrix(bath, hamiltonian(omega0, omega_s))
+    w11_assembled = -float(np.diagonal(r.matrix)[THREE_STATE_BASIS.vec_index("1", "1")].real)
     rel = abs(w11_assembled - rates.w11) / rates.w11
     return ClosedLoopReport(
         rates=rates,

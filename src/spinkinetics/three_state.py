@@ -113,62 +113,48 @@ def _pair_operator(i: int, j: int) -> np.ndarray:
     return m
 
 
+#: the transverse coupler |1><2| + |2><1|, read-only
+SX = _pair_operator(1, 2) + _pair_operator(2, 1)
+SX.setflags(write=False)
+
+
+def hamiltonian(omega0: float, omega_s: float) -> OperatorMatrix:
+    """H = diag(omega0, +omega_s/2, -omega_s/2), rad/s."""
+    h = np.diag([omega0, 0.5 * omega_s, -0.5 * omega_s])
+    return OperatorMatrix(THREE_STATE_BASIS, h, hermitian=True)
+
+
 def build_bath(p: ThreeStateParams):
     """System Hamiltonian and bath specification for the model.
 
-    H = diag(omega0, +omega_s/2, -omega_s/2). The bath couples through
-    half-weighted x/y operators on the (1, 2) pair (uncorrelated, equal
-    spectra), optionally a z coupling of the same strength, and optionally the
-    (0-1) splitting fluctuation (|0><0| - |1><1|)/2.
+    H is :func:`hamiltonian`. The bath couples through half-weighted x/y
+    operators on the (1, 2) pair (uncorrelated, equal spectra), optionally a z
+    coupling of the same strength, and optionally the (0-1) splitting
+    fluctuation (|0><0| - |1><1|)/2.
     """
-    basis = THREE_STATE_BASIS
-    h = OperatorMatrix(
-        basis,
-        np.diag([p.omega0, 0.5 * p.omega_s, -0.5 * p.omega_s]),
-        hermitian=True,
-    )
-    sx = _pair_operator(1, 2) + _pair_operator(2, 1)
-    sy = 1j * (_pair_operator(2, 1) - _pair_operator(1, 2))
-    sz = _pair_operator(1, 1) - _pair_operator(2, 2)
-    couplings = [
-        CouplingOperator("x", OperatorMatrix(basis, 0.5 * sx, hermitian=True), 0),
-        CouplingOperator("y", OperatorMatrix(basis, 0.5 * sy, hermitian=True), 1),
-    ]
-    densities = [p.transverse, p.transverse]
+    table = [("x", SX, p.transverse),
+             ("y", 1j * (_pair_operator(2, 1) - _pair_operator(1, 2)), p.transverse)]
     if p.isotropic:
-        couplings.append(
-            CouplingOperator("z", OperatorMatrix(basis, 0.5 * sz, hermitian=True), 2)
-        )
-        densities.append(p.transverse)
+        table.append(("z", _pair_operator(1, 1) - _pair_operator(2, 2), p.transverse))
     if p.splitting is not None:
-        split = 0.5 * (_pair_operator(0, 0) - _pair_operator(1, 1))
-        couplings.append(
-            CouplingOperator(
-                "01", OperatorMatrix(basis, split, hermitian=True), len(densities)
-            )
-        )
-        densities.append(p.splitting)
-    return h, BathSpec.uncorrelated(couplings, densities, beta=p.beta)
-
-
-def _vec_index(i: int, j: int) -> int:
-    return 3 * i + j
+        table.append(("01", _pair_operator(0, 0) - _pair_operator(1, 1), p.splitting))
+    couplings = [
+        CouplingOperator(label, OperatorMatrix(THREE_STATE_BASIS, 0.5 * op, hermitian=True), i)
+        for i, (label, op, _) in enumerate(table)
+    ]
+    bath = BathSpec.uncorrelated(couplings, [d for _, _, d in table], beta=p.beta)
+    return hamiltonian(p.omega0, p.omega_s), bath
 
 
 def assembled_rates(p: ThreeStateParams) -> ThreeStateRates:
     """Read the five rates off the assembled relaxation supermatrix."""
     h, bath = build_bath(p)
-    r = relaxation_supermatrix(bath, h).matrix
-    wbarn = float(p.transverse.value(0.0)) if p.isotropic else 0.0
-    wbar01 = float(p.splitting.value(0.0)) if p.splitting is not None else 0.0
-    return ThreeStateRates(
-        w11=-r[_vec_index(1, 1), _vec_index(1, 1)].real,
-        w22=-r[_vec_index(2, 2), _vec_index(2, 2)].real,
-        wn=-r[_vec_index(1, 2), _vec_index(1, 2)].real,
-        w01=-r[_vec_index(0, 1), _vec_index(0, 1)].real,
-        w02=-r[_vec_index(0, 2), _vec_index(0, 2)].real,
-        wbar01=wbar01,
-        wbarn=wbarn,
+    rates = -np.diagonal(relaxation_supermatrix(bath, h).matrix).real
+    at = THREE_STATE_BASIS.vec_index
+    return replace(
+        closed_form_rates(p),
+        w11=rates[at("1", "1")], w22=rates[at("2", "2")], wn=rates[at("1", "2")],
+        w01=rates[at("0", "1")], w02=rates[at("0", "2")],
     )
 
 
@@ -219,7 +205,7 @@ def projection_limit_deviation(p: ThreeStateParams, beta_omega_s: float) -> floa
     h, bath = build_bath(replace(p, beta=beta))
     r = np.array(relaxation_supermatrix(bath, h).matrix)
     # population feed terms (1,1)<->(2,2); the projector form keeps only decay
-    r[_vec_index(2, 2), _vec_index(1, 1)] = 0.0
-    r[_vec_index(1, 1), _vec_index(2, 2)] = 0.0
+    p11, p22 = THREE_STATE_BASIS.vec_index("1", "1"), THREE_STATE_BASIS.vec_index("2", "2")
+    r[p22, p11] = r[p11, p22] = 0.0
     proj = projection_limit_super(w11_inf=float(p.transverse.value(p.omega_s)))
     return float(np.linalg.norm(r - proj.matrix, 2))

@@ -513,6 +513,26 @@ class TestSweep:
         assert all(n <= 3 for n in sizes)
 
 
+class TestOutputDir:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_uncreatable_dir_exits_3_before_any_point_runs(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "_run_point", lambda *a: calls.append(a))
+        config = {"scenario": "radii", "parameters": RADII_PARAMS, "grid": {"Q_per_s": [1e9]}}
+        if command == "run":
+            del config["grid"]
+        cfg = write_config(tmp_path / "cfg.json", config)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([command, cfg, "--out-dir", str(blocker / "out")]) == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "validation"
+        assert "config.output.dir" in err["message"]
+        assert calls == []
+
+
 class TestFlags:
     @pytest.mark.parametrize("command, flag", [("run", ["--workers", "2"]),
                                                ("sweep", ["--format", "json"]),
@@ -571,3 +591,13 @@ class TestOracleScenario:
         assert (tmp_path / "a" / "timeseries.csv").read_text() == (
             tmp_path / "b" / "timeseries.csv"
         ).read_text()
+
+    def test_cross_key_failure_exits_3_before_the_run(self, tmp_path, monkeypatch):
+        calls = []
+        run_point = cli._run_point
+        monkeypatch.setattr(cli, "_run_point", lambda *a: calls.append(a) or run_point(*a))
+        config = with_params("oracle", tau_c_s=5e-14)  # dt_s 5e-15 above tau_c / 20
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert calls == []
+        assert not (tmp_path / "out").exists()

@@ -28,6 +28,7 @@ from spinkinetics import (
     sandwich_super,
     validity_check,
 )
+from spinkinetics.liouville import vectorize
 
 B3 = BasisLabel(("0", "1", "2"))
 B4 = BasisLabel(("a", "b", "c", "d"))
@@ -50,6 +51,13 @@ class TestBasis:
         assert B3.index("2") == 2
         with pytest.raises(ValidationError):
             B3.index("T+")
+
+    def test_vec_index_is_the_row_major_position(self):
+        rho = np.random.default_rng(11).normal(size=(4, 4)) + 0j
+        v = vectorize(rho)
+        for i, row in enumerate(B4.names):
+            for j, col in enumerate(B4.names):
+                assert v[B4.vec_index(row, col)] == rho[i, j]
 
 
 class TestConstructors:
