@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -614,6 +615,15 @@ def _flatten(results: dict, prefix: str = "") -> dict:
     return flat
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write one output file; a path that cannot be written is a config error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"output file {str(path)!r} cannot be written: {exc}") from None
+
+
 def _write_summary(path: Path, config: dict, results: dict, wall_time: float) -> None:
     summary = {
         "scenario": config["scenario"],
@@ -621,15 +631,16 @@ def _write_summary(path: Path, config: dict, results: dict, wall_time: float) ->
         "results": _round_tree(results),
         "wall_time_s": round(wall_time, 6),
     }
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _write_table(path: Path, columns, rows) -> None:
     """The one CSV writer: the header, then a line of ``_fmt`` cells per row."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    _write_text(path, buffer.getvalue())
 
 
 def _write_series(out_dir: Path, columns, table: np.ndarray, fmt: str) -> Path:
@@ -637,7 +648,7 @@ def _write_series(out_dir: Path, columns, table: np.ndarray, fmt: str) -> Path:
     if fmt == "json":
         path = out_dir / "timeseries.json"
         records = [dict(zip(columns, map(_round12, row))) for row in rows]
-        path.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
+        _write_text(path, json.dumps(records, indent=2) + "\n")
     else:
         path = out_dir / "timeseries.csv"
         _write_table(path, columns, rows)
@@ -722,22 +733,71 @@ def _sweep_tasks(config: dict):
 
 
 def _sweep_worker(task):
-    scenario, params, seed = task
-    results, _ = _run_point(scenario, params, seed)
+    scenario, point, params, seed = task
+    try:
+        results, _ = _run_point(scenario, params, seed)
+    except SpinKineticsError as exc:  # same class, so the same exit code
+        raise type(exc)(f"grid point {point}: {exc}") from None
     return results
+
+
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+def _blas_threads(count=None) -> dict:
+    """Each loaded OpenBLAS copy's thread count, by library path, before setting it.
+
+    ``count`` is one count for every copy, a dict as returned (to restore
+    them), or None to only read. numpy and scipy each bundle a copy; they are
+    found in /proc/self/maps. Where no copy or no thread symbol is found this
+    does nothing and returns {}.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return {}
+    counts = {}
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SYMBOLS:
+            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                counts[path] = get()
+                target = count.get(path) if isinstance(count, dict) else count
+                if target is not None:
+                    put(target)
+                break
+    return counts
 
 
 def cmd_sweep(args) -> int:
     started = time.monotonic()
     config, tasks, out_dir = _checked_config(args, sweep=True)
     scenario = config["scenario"]
-    payloads = [(scenario, params, seed) for _i, _c, params, seed in tasks]
+    payloads = [(scenario, point, params, seed) for _i, point, params, seed in tasks]
     cpus = os.cpu_count() or 1
     # a fork pool starts every worker at once, however few points there are
     workers = min(args.workers or cpus, len(tasks), cpus)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_results = list(pool.map(_sweep_worker, payloads))
+        # multi-threaded BLAS in every worker spins on the same CPUs: one
+        # thread each (set before the fork, and by the initializer for other
+        # start methods), and the parent's counts back afterwards
+        previous = _blas_threads(1)
+        try:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_blas_threads,
+                                     initargs=(1,)) as pool:
+                all_results = list(pool.map(_sweep_worker, payloads))
+        finally:
+            _blas_threads(previous)
     else:
         all_results = [_sweep_worker(p) for p in payloads]
 

@@ -2,6 +2,8 @@ import copy
 import csv
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -490,7 +492,7 @@ class TestSweep:
         sizes = []
 
         class SerialPool:  # records the pool size and starts no process
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -511,6 +513,97 @@ class TestSweep:
         cfg = write_config(tmp_path / "cfg.json", config)
         assert main(["sweep", cfg, "--out-dir", str(tmp_path / "out"), "--workers", "64"]) == 0
         assert all(n <= 3 for n in sizes)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_failing_point_is_named_with_its_class_and_exit_code(
+        self, tmp_path, capsys, workers
+    ):
+        config = {
+            "scenario": "radical-pair",
+            "parameters": {
+                "variant": "haberkorn",
+                "kappa_s_per_s": 2.0,
+                "kappa_t_per_s": 1.0,
+                "time_grid": {"t_max_s": 1.0, "n_points": 5},
+            },
+            "grid": {"kappa_t_per_s": [1.0, 0.0, 0.5]},  # the triplet never decays at 0
+        }
+        cfg = write_config(tmp_path / "cfg.json", config)
+        out = str(tmp_path / "out")
+        assert main(["sweep", cfg, "--out-dir", out, "--workers", workers]) == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "numerical"
+        assert err["message"].startswith("grid point {'kappa_t_per_s': 0.0}: ")
+        assert "non-decaying" in err["message"]
+
+
+#: the sweep pool pins each loaded OpenBLAS copy; without one there is nothing to pin
+needs_pool = pytest.mark.skipif(
+    not cli._blas_threads() or (os.cpu_count() or 1) < 2,
+    reason="needs OpenBLAS thread control and two CPUs",
+)
+
+
+@needs_pool
+class TestSweepPool:
+    def test_three_state_rows_match_serial_bit_for_bit(self, tmp_path):
+        config = with_params("three-state", observables=["rho_11"])
+        config["grid"] = {"omega_s_rad_s": [5e8, 1e9, 2e9],
+                          "spectral_density.tau_c_s": [5e-11, 2e-10]}
+        cfg = write_config(tmp_path / "cfg.json", config)
+        for workers in ("1", "2"):
+            out = str(tmp_path / workers)
+            assert main(["sweep", cfg, "--out-dir", out, "--workers", workers]) == 0
+        assert (tmp_path / "1" / "sweep.csv").read_bytes() == (
+            tmp_path / "2" / "sweep.csv"
+        ).read_bytes()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched point runner reaches forked workers only")
+    def test_workers_run_one_blas_thread_and_the_parent_gets_its_counts_back(
+        self, tmp_path, monkeypatch
+    ):
+        def thread_counts(scenario, params, seed):  # a point that reports its worker's BLAS
+            return {"threads": list(cli._blas_threads().values())}, None
+
+        monkeypatch.setattr(cli, "_run_point", thread_counts)
+        config = {"scenario": "radii", "parameters": RADII_PARAMS,
+                  "grid": {"D_cm2_per_s": [1e-6, 2e-6, 5e-6, 1e-5]}}
+        cfg = write_config(tmp_path / "cfg.json", config)
+        before = cli._blas_threads(2)  # more than one, so pinning shows
+        try:
+            assert set(cli._blas_threads().values()) == {2}
+            assert main(["sweep", cfg, "--out-dir", str(tmp_path / "out"), "--workers", "2"]) == 0
+            after = cli._blas_threads()
+        finally:
+            cli._blas_threads(before)
+        assert set(after.values()) == {2}
+        header, rows = read_csv(tmp_path / "out" / "sweep.csv")
+        columns = [i for i, name in enumerate(header) if name.startswith("threads[")]
+        assert len(columns) == len(after)
+        assert {row[i] for row in rows for i in columns} == {"1"}
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command, blocked", [
+        ("run", "summary.json"),
+        ("run", "timeseries.csv"),
+        ("sweep", "sweep.csv"),
+        ("sweep", "summary.json"),
+    ])
+    def test_an_unwritable_output_file_exits_3_naming_it(
+        self, tmp_path, capsys, command, blocked
+    ):
+        config = with_params("three-state")
+        if command == "sweep":
+            config["grid"] = {"omega_s_rad_s": [1e9]}
+        cfg = write_config(tmp_path / "cfg.json", config)
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)  # a directory where the file goes
+        assert main([command, cfg, "--out-dir", str(out)]) == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "validation"
+        assert repr(str(out / blocked)) in err["message"]
 
 
 class TestOutputDir:
