@@ -17,6 +17,7 @@ relaxation rates are produced.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -199,9 +200,9 @@ class BathSpec:
         densities = tuple(densities)
         if len(couplings) != len(densities):
             raise ValidationError("one spectral density per coupling required")
-        relabeled = [
-            CouplingOperator(c.label, c.matrix, i) for i, c in enumerate(couplings)
-        ]
+        relabeled = [copy.copy(c) for c in couplings]  # the caller's keep their indices
+        for i, c in enumerate(relabeled):
+            c.spectral_index = i
         m = len(densities)
         grid = [
             [densities[i] if i == j else ZERO_DENSITY for j in range(m)]

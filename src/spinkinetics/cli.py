@@ -697,11 +697,11 @@ def cmd_run(args) -> int:
     if args.format is not None:
         config["output"]["format"] = args.format
     results, series = _run_point(config["scenario"], params, config.get("seed"))
-    _write_summary(out_dir / "summary.json", config, results, time.monotonic() - started)
-    print(f"wrote {out_dir / 'summary.json'}")
-    if series is not None:
+    if series is not None:  # the summary goes last: it exists only for a complete run
         path = _write_series(out_dir, *series, config["output"]["format"])
         print(f"wrote {path}")
+    _write_summary(out_dir / "summary.json", config, results, time.monotonic() - started)
+    print(f"wrote {out_dir / 'summary.json'}")
     return EXIT_OK
 
 

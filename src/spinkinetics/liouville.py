@@ -6,7 +6,11 @@ Conventions shared by the whole package:
   so the map ``rho -> A @ rho @ B`` has the supermatrix ``kron(A, B.T)``;
 * energies and frequencies are angular (rad/s) with hbar = 1, rates are s^-1;
 * every container copies its array argument and marks it read-only, which makes
-  values safe to share between parameter-sweep workers.
+  values safe to share between parameter-sweep workers;
+* a value is checked once, where it enters the package: at the public
+  constructors and the CLI schema. Package code that derives one checked value
+  from another (a matrix Hermitian by construction, a relabelled coupling, a
+  generator summed from checked parts) does not check it again.
 """
 
 from __future__ import annotations
@@ -210,18 +214,6 @@ class Superoperator:
         """Spectral norm, in s^-1."""
         return float(np.linalg.norm(self.matrix, 2))
 
-    def hermiticity_defect_sample(self) -> float:
-        """Largest |(L rho)^dag - L(rho^dag)| over four seeded random unit-norm matrices."""
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        for _ in range(4):
-            a = rng.normal(size=(self.dim, self.dim)) + 1j * rng.normal(size=(self.dim, self.dim))
-            a /= np.linalg.norm(a)
-            lhs = self.apply(a).conj().T
-            rhs = self.apply(a.conj().T)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-        return worst
-
     def __add__(self, other):
         _check_same_basis(self, other, "add")
         return Superoperator(self.basis, self.matrix + other.matrix)
@@ -249,10 +241,14 @@ def conjugation_super(a: OperatorMatrix, b: OperatorMatrix) -> Superoperator:
     return Superoperator(a.basis, np.kron(a.entries, b.entries.T))
 
 
+def _commutator(a: np.ndarray) -> np.ndarray:
+    eye = np.eye(a.shape[0])
+    return np.kron(a, eye) - np.kron(eye, a.T)
+
+
 def commutator_super(a: OperatorMatrix) -> Superoperator:
     """rho -> A rho - rho A."""
-    eye = np.eye(a.dim)
-    return Superoperator(a.basis, np.kron(a.entries, eye) - np.kron(eye, a.entries.T))
+    return Superoperator(a.basis, _commutator(a.entries))
 
 
 def anticommutator_super(a: OperatorMatrix) -> Superoperator:
@@ -286,12 +282,14 @@ def assemble_generator(
     reactors are positive-decay superoperators K such that rho-dot contains
     -K rho.
     """
-    gen = -1j * commutator_super(h)
+    gen = _commutator(h.entries) * -1j
     for r in relaxers:
-        gen = gen + r
+        _check_same_basis(h, r, "add")
+        gen = gen + r.matrix
     for k in reactors:
-        gen = gen - k
-    return gen
+        _check_same_basis(h, k, "subtract")
+        gen = gen - k.matrix
+    return Superoperator(h.basis, gen)
 
 
 # ---------------------------------------------------------------------------

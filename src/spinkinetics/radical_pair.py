@@ -48,15 +48,14 @@ PAIR_BASIS = BasisLabel(("S", "T+", "T0", "T-"))
 _S, _TP, _T0, _TM = 0, 1, 2, 3
 
 
+#: the singlet and triplet projectors P_S = |S><S| and P_T = 1 - P_S, read-only
+_P_S = OperatorMatrix(PAIR_BASIS, np.diag([1.0, 0.0, 0.0, 0.0]))
+_P_T = OperatorMatrix(PAIR_BASIS, np.eye(4) - _P_S.entries)
+
+
 def projectors():
     """Singlet and triplet projection operators (P_S + P_T = 1)."""
-    ps = np.zeros((4, 4), dtype=complex)
-    ps[_S, _S] = 1.0
-    pt = np.eye(4, dtype=complex) - ps
-    return (
-        OperatorMatrix(PAIR_BASIS, ps, hermitian=True),
-        OperatorMatrix(PAIR_BASIS, pt, hermitian=True),
-    )
+    return _P_S, _P_T
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ class PairHamiltonian:
         h[_S, _S] += self.j_exchange
         for t in (_TP, _T0, _TM):
             h[t, t] -= self.j_exchange
-        return OperatorMatrix(PAIR_BASIS, h, hermitian=True)
+        return OperatorMatrix(PAIR_BASIS, h)
 
 
 class ReactionVariant(enum.Enum):
@@ -144,16 +143,14 @@ class ReactionModel:
 
 def st_dephasing_super() -> Superoperator:
     """Pure ST dephasing operator D_S: rho -> (P_S rho P_T + P_T rho P_S)/2."""
-    ps, _ = projectors()
-    return projector_dephasing_super(ps)
+    return projector_dephasing_super(_P_S)
 
 
 def reaction_supermatrix(m: ReactionModel) -> Superoperator:
     """Positive-decay reaction superoperator K (rho-dot contains -K rho)."""
-    ps, pt = projectors()
-    k = (0.5 * m.kappa_s) * anticommutator_super(ps) + (
+    k = (0.5 * m.kappa_s) * anticommutator_super(_P_S) + (
         0.5 * m.kappa_t
-    ) * anticommutator_super(pt)
+    ) * anticommutator_super(_P_T)
     if m.kappa_st:
         k = k + m.kappa_st * st_dephasing_super()
     return k
@@ -246,9 +243,8 @@ def recombination_yields(
     levels never react and the integral diverges.
     """
     x = infinite_time_integral(generator(m, h), rho0)
-    ps, pt = projectors()
-    phi_s = m.kappa_s * float(np.trace(ps.entries @ x.entries).real)
-    phi_t = m.kappa_t * float(np.trace(pt.entries @ x.entries).real)
+    phi_s = m.kappa_s * float(np.trace(_P_S.entries @ x.entries).real)
+    phi_t = m.kappa_t * float(np.trace(_P_T.entries @ x.entries).real)
     return Yields(singlet=phi_s, triplet=phi_t)
 
 
@@ -272,9 +268,8 @@ def pure_state_propagate(
     norm = float(np.vdot(psi, psi).real)
     if norm > 1.0 + 1e-9:
         raise ValidationError("state vector norm must not exceed one")
-    ps, pt = projectors()
     drift = -(
-        1j * h.operator().entries + 0.5 * (m.kappa_s * ps.entries + m.kappa_t * pt.entries)
+        1j * h.operator().entries + 0.5 * (m.kappa_s * _P_S.entries + m.kappa_t * _P_T.entries)
     )
     t = _validated_times(times)
     psi_t = _expm_steps(drift, psi, t)

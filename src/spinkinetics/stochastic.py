@@ -493,7 +493,7 @@ def closed_loop_check(
     spectrum = correlation_spectrum(corr_paths)
     grid_top = max(3.0 * abs(omega_s), 6.0 / p.tau_c)
     tabulated = spectrum.to_tabulated(np.linspace(0.0, grid_top, 601))
-    coupling = CouplingOperator("v", OperatorMatrix(THREE_STATE_BASIS, SX, hermitian=True), 0)
+    coupling = CouplingOperator("v", OperatorMatrix(THREE_STATE_BASIS, SX), 0)
     bath = BathSpec.uncorrelated([coupling], [tabulated], beta=0.0)
     r = relaxation_supermatrix(bath, hamiltonian(omega0, omega_s))
     w11_assembled = -float(np.diagonal(r.matrix)[THREE_STATE_BASIS.vec_index("1", "1")].real)

@@ -121,7 +121,7 @@ SX.setflags(write=False)
 def hamiltonian(omega0: float, omega_s: float) -> OperatorMatrix:
     """H = diag(omega0, +omega_s/2, -omega_s/2), rad/s."""
     h = np.diag([omega0, 0.5 * omega_s, -0.5 * omega_s])
-    return OperatorMatrix(THREE_STATE_BASIS, h, hermitian=True)
+    return OperatorMatrix(THREE_STATE_BASIS, h)
 
 
 def build_bath(p: ThreeStateParams):
@@ -139,7 +139,7 @@ def build_bath(p: ThreeStateParams):
     if p.splitting is not None:
         table.append(("01", _pair_operator(0, 0) - _pair_operator(1, 1), p.splitting))
     couplings = [
-        CouplingOperator(label, OperatorMatrix(THREE_STATE_BASIS, 0.5 * op, hermitian=True), i)
+        CouplingOperator(label, OperatorMatrix(THREE_STATE_BASIS, 0.5 * op), i)
         for i, (label, op, _) in enumerate(table)
     ]
     bath = BathSpec.uncorrelated(couplings, [d for _, _, d in table], beta=p.beta)
@@ -176,12 +176,12 @@ def projection_limit_super(
         if rate < 0 or not math.isfinite(rate):
             raise ValidationError(f"{name} must be finite and nonnegative")
     basis = THREE_STATE_BASIS
-    p1 = OperatorMatrix(basis, _pair_operator(1, 1), hermitian=True)
+    p1 = OperatorMatrix(basis, _pair_operator(1, 1))
     gen = (-0.5 * w11_inf) * anticommutator_super(p1)
     if splitting_rate:
         gen = gen + (-0.5 * splitting_rate) * projector_dephasing_super(p1)
     if w00_inf:
-        p0 = OperatorMatrix(basis, _pair_operator(0, 0), hermitian=True)
+        p0 = OperatorMatrix(basis, _pair_operator(0, 0))
         gen = gen + (-0.5 * w00_inf) * anticommutator_super(p0)
     return gen
 

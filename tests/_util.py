@@ -18,3 +18,17 @@ def random_density(n, rng):
 def random_state(n, rng):
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     return psi / np.linalg.norm(psi)
+
+
+def hermiticity_defect_sample(superop):
+    """Largest |(L rho)^dag - L(rho^dag)| over four seeded random unit-norm matrices."""
+    rng = np.random.default_rng(7)
+    n = superop.dim
+    worst = 0.0
+    for _ in range(4):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a /= np.linalg.norm(a)
+        lhs = superop.apply(a).conj().T
+        rhs = superop.apply(a.conj().T)
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst

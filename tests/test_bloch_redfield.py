@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from _util import random_density, random_hermitian
+from _util import hermiticity_defect_sample, random_density, random_hermitian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -195,7 +195,7 @@ class TestAssembly:
         p = _transverse_params()
         h, bath = build_bath(p)
         r = relaxation_supermatrix(bath, h)
-        assert r.hermiticity_defect_sample() < 1e-12 * r.norm()
+        assert hermiticity_defect_sample(r) < 1e-12 * r.norm()
 
     def test_detailed_balance(self):
         for beta_omega in (0.1, 1.0, 10.0):

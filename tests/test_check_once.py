@@ -1,0 +1,63 @@
+"""A value is checked where it enters the package, not again downstream.
+
+The counts are of calls, not of time: one three-state point measures each
+coupling once (in CouplingOperator), H once per coupling (in
+frequency_decompose) and the initial state once; the radical-pair reaction
+superoperator is built from fixed projectors and measures nothing.
+"""
+
+import numpy as np
+import pytest
+
+from spinkinetics import liouville
+from spinkinetics.bloch_redfield import (
+    BathSpec,
+    CouplingOperator,
+    Lorentzian,
+    relaxation_supermatrix,
+)
+from spinkinetics.liouville import BasisLabel, DensityMatrix, OperatorMatrix
+from spinkinetics.radical_pair import ReactionModel, reaction_supermatrix
+from spinkinetics.three_state import THREE_STATE_BASIS, ThreeStateParams, build_bath
+
+
+@pytest.fixture
+def defect_calls(monkeypatch):
+    calls = []
+    measure = liouville.hermitian_defect
+
+    def counted(a):
+        calls.append(a)
+        return measure(a)
+
+    monkeypatch.setattr(liouville, "hermitian_defect", counted)
+    return calls
+
+
+def test_one_three_state_point_measures_hermiticity_at_most_nine_times(defect_calls):
+    spectrum = Lorentzian(amplitude=1e17, tau_c=1e-10)
+    p = ThreeStateParams(omega0=0.0, omega_s=1e9, beta=1e-9, transverse=spectrum,
+                         splitting=Lorentzian(amplitude=5e16, tau_c=1e-10), isotropic=True)
+    h, bath = build_bath(p)
+    relaxation_supermatrix(bath, h)
+    DensityMatrix.pure(THREE_STATE_BASIS, [0, 1, 0])
+    assert len(defect_calls) <= 9
+
+
+@pytest.mark.parametrize("model", [ReactionModel.haberkorn(2.0, 1.0),
+                                   ReactionModel.generalized(2.0, 1.0, 0.5)])
+def test_the_reaction_superoperator_measures_no_hermiticity(defect_calls, model):
+    reaction_supermatrix(model)
+    assert defect_calls == []
+
+
+def test_uncorrelated_bath_leaves_the_callers_couplings_untouched():
+    basis = BasisLabel(("a", "b"))
+    couplings = [CouplingOperator(name, OperatorMatrix(basis, m), 5)
+                 for name, m in (("x", [[0, 1], [1, 0]]), ("z", np.diag([1.0, -1.0])))]
+    spectra = [Lorentzian(amplitude=1.0, tau_c=1.0), Lorentzian(amplitude=2.0, tau_c=1.0)]
+    bath = BathSpec.uncorrelated(couplings, spectra, beta=1.0)
+    assert [c.spectral_index for c in couplings] == [5, 5]
+    assert [c.spectral_index for c in bath.couplings] == [0, 1]
+    assert [c.label for c in bath.couplings] == ["x", "z"]
+    assert bath.density(1, 1) == spectra[1]

@@ -604,6 +604,7 @@ class TestOutputFiles:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "validation"
         assert repr(str(out / blocked)) in err["message"]
+        assert blocked != "timeseries.csv" or not (out / "summary.json").exists()
 
 
 class TestOutputDir:

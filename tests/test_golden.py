@@ -5,6 +5,7 @@ lists the moved files and digits in CHANGES.md.
 """
 
 import json
+from itertools import zip_longest
 
 import pytest
 
@@ -14,14 +15,12 @@ from golden.regen import CASES, HERE, VERSIONS, produce, versions
 def _first_difference(expected: str, got: str):
     """(1-based line number, expected line, produced line) of the first
     difference, or None when the texts are equal."""
-    if expected == got:
-        return None
-    old, new = expected.splitlines(keepends=True), got.splitlines(keepends=True)
-    for number, (a, b) in enumerate(zip(old, new), start=1):
+    lines = zip_longest(expected.splitlines(keepends=True), got.splitlines(keepends=True),
+                        fillvalue="")
+    for number, (a, b) in enumerate(lines, start=1):
         if a != b:
             return number, a, b
-    number = min(len(old), len(new)) + 1
-    return number, (old[number - 1:] or [""])[0], (new[number - 1:] or [""])[0]
+    return None
 
 
 @pytest.mark.parametrize("case", list(CASES))
