@@ -251,10 +251,19 @@ def commutator_super(a: OperatorMatrix) -> Superoperator:
     return Superoperator(a.basis, _commutator(a.entries))
 
 
+def _anticommutator(a: np.ndarray) -> np.ndarray:
+    eye = np.eye(a.shape[0])
+    return np.kron(a, eye) + np.kron(eye, a.T)
+
+
+def _projector_dephasing(p: np.ndarray) -> np.ndarray:
+    # complex scalars, as Superoperator's * multiplies, keep every bit of the sum
+    return _anticommutator(p) * complex(0.5) - np.kron(p, p.T)
+
+
 def anticommutator_super(a: OperatorMatrix) -> Superoperator:
     """rho -> A rho + rho A."""
-    eye = np.eye(a.dim)
-    return Superoperator(a.basis, np.kron(a.entries, eye) + np.kron(eye, a.entries.T))
+    return Superoperator(a.basis, _anticommutator(a.entries))
 
 
 def sandwich_super(a: OperatorMatrix) -> Superoperator:
@@ -268,7 +277,7 @@ def projector_dephasing_super(p: OperatorMatrix) -> Superoperator:
     rho -> (1/2)[P, rho]_+ - P rho P, identically (1/2)(P rho Q + Q rho P)
     with Q = 1 - P. Trace free; kills nothing inside either block.
     """
-    return 0.5 * anticommutator_super(p) - sandwich_super(p)
+    return Superoperator(p.basis, _projector_dephasing(p.entries))
 
 
 def assemble_generator(

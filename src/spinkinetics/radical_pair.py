@@ -33,10 +33,11 @@ from .liouville import (
     OperatorMatrix,
     Propagation,
     Superoperator,
+    _anticommutator,
     _density_stack,
     _expm_steps,
+    _projector_dephasing,
     _validated_times,
-    anticommutator_super,
     assemble_generator,
     infinite_time_integral,
     projector_dephasing_super,
@@ -148,12 +149,12 @@ def st_dephasing_super() -> Superoperator:
 
 def reaction_supermatrix(m: ReactionModel) -> Superoperator:
     """Positive-decay reaction superoperator K (rho-dot contains -K rho)."""
-    k = (0.5 * m.kappa_s) * anticommutator_super(_P_S) + (
-        0.5 * m.kappa_t
-    ) * anticommutator_super(_P_T)
+    k = _anticommutator(_P_S.entries) * complex(0.5 * m.kappa_s) + _anticommutator(
+        _P_T.entries
+    ) * complex(0.5 * m.kappa_t)
     if m.kappa_st:
-        k = k + m.kappa_st * st_dephasing_super()
-    return k
+        k = k + _projector_dephasing(_P_S.entries) * complex(m.kappa_st)
+    return Superoperator(PAIR_BASIS, k)
 
 
 def generator(m: ReactionModel, h: PairHamiltonian) -> Superoperator:

@@ -27,8 +27,8 @@ from .liouville import (
     BasisLabel,
     OperatorMatrix,
     Superoperator,
-    anticommutator_super,
-    projector_dephasing_super,
+    _anticommutator,
+    _projector_dephasing,
 )
 
 THREE_STATE_BASIS = BasisLabel(("0", "1", "2"))
@@ -175,15 +175,14 @@ def projection_limit_super(
     for name, rate in (("w11_inf", w11_inf), ("splitting_rate", splitting_rate), ("w00_inf", w00_inf)):
         if rate < 0 or not math.isfinite(rate):
             raise ValidationError(f"{name} must be finite and nonnegative")
-    basis = THREE_STATE_BASIS
-    p1 = OperatorMatrix(basis, _pair_operator(1, 1))
-    gen = (-0.5 * w11_inf) * anticommutator_super(p1)
+    p1 = _pair_operator(1, 1)
+    gen = _anticommutator(p1) * complex(-0.5 * w11_inf)
     if splitting_rate:
-        gen = gen + (-0.5 * splitting_rate) * projector_dephasing_super(p1)
+        gen = gen + _projector_dephasing(p1) * complex(-0.5 * splitting_rate)
     if w00_inf:
-        p0 = OperatorMatrix(basis, _pair_operator(0, 0))
-        gen = gen + (-0.5 * w00_inf) * anticommutator_super(p0)
-    return gen
+        p0 = _pair_operator(0, 0)
+        gen = gen + _anticommutator(p0) * complex(-0.5 * w00_inf)
+    return Superoperator(THREE_STATE_BASIS, gen)
 
 
 def projection_limit_deviation(p: ThreeStateParams, beta_omega_s: float) -> float:

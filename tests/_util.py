@@ -1,6 +1,11 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
+
+from spinkinetics import stochastic
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -32,3 +37,93 @@ def hermiticity_defect_sample(superop):
         rhs = superop.apply(a.conj().T)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo references: the path-major forms the package code must reproduce
+# ---------------------------------------------------------------------------
+
+def reference_schroedinger_block(v, omega_s, dt):
+    """Per-path (1, 2) amplitudes, v[i, k] = v_i(t_k), one column per step."""
+    n_paths, n_times = v.shape
+    half = 0.5 * omega_s
+    vbar = 0.5 * (v[:, :-1] + v[:, 1:])
+    r = np.sqrt(half * half + vbar * vbar)
+    phi = r * dt
+    cos_phi = np.cos(phi)
+    sinc = np.where(r > 0, np.sin(phi) / np.where(r > 0, r, 1.0), dt)
+    a1 = np.full(n_paths, 1.0 / math.sqrt(2.0), dtype=complex)
+    a2 = np.zeros(n_paths, dtype=complex)
+    out1 = np.empty((n_paths, n_times), dtype=complex)
+    out2 = np.empty((n_paths, n_times), dtype=complex)
+    out1[:, 0] = a1
+    out2[:, 0] = a2
+    for k in range(n_times - 1):
+        c = cos_phi[:, k]
+        s = sinc[:, k]
+        vk = vbar[:, k]
+        new1 = (c - 1j * s * half) * a1 - 1j * s * vk * a2
+        new2 = -1j * s * vk * a1 + (c + 1j * s * half) * a2
+        a1, a2 = new1, new2
+        out1[:, k + 1] = a1
+        out2[:, k + 1] = a2
+    return out1, out2
+
+
+def reference_second_order_amplitude(v, omega_s, dt, times):
+    """Per-path da(t) by nested cumulative (trapezoid) integrals."""
+    phase = np.exp(-1j * omega_s * times)[None, :]
+    inner = cumulative_trapezoid(v * phase, dx=dt, initial=0.0, axis=1)
+    outer = v * np.conj(phase) * inner
+    return cumulative_trapezoid(outer, dx=dt, initial=0.0, axis=1)
+
+
+def reference_perturbative_amplitudes(p, omega_s, duration, n_traj, omega0=0.0):
+    """perturbative_amplitudes with whole per-path histories, as a dict of its fields."""
+    n_batches = max(1, min(stochastic.N_BATCHES, n_traj))
+    n_steps = int(math.ceil(duration / p.dt - 1e-9))
+    times = np.arange(n_steps + 1) * p.dt
+    nt = n_steps + 1
+    sum_a1 = np.zeros((n_batches, nt), dtype=complex)
+    sum_abs_a1 = np.zeros((n_batches, nt))
+    sum_abs_a2 = np.zeros((n_batches, nt))
+    sum_delta = np.zeros((n_batches, nt), dtype=complex)
+    counts = np.zeros(n_batches, dtype=np.int64)
+    norm_defect = 0.0
+    offset = 0
+    for i, size in enumerate(stochastic._chunk_sizes(n_traj)):
+        v = stochastic._noise_chunk(p, n_steps, size, 0, i)
+        delta = reference_second_order_amplitude(v, omega_s, p.dt, times)
+        a1, a2 = reference_schroedinger_block(v, omega_s, p.dt)
+        norms = np.abs(a1) ** 2 + np.abs(a2) ** 2 + 0.5
+        norm_defect = max(norm_defect, float(np.abs(norms - 1.0).max()))
+        batch = (np.arange(offset, offset + size) * n_batches) // n_traj
+        for b in np.unique(batch):
+            rows = batch == b
+            sum_a1[b] += a1[rows].sum(axis=0)
+            sum_abs_a1[b] += (np.abs(a1[rows]) ** 2).sum(axis=0)
+            sum_abs_a2[b] += (np.abs(a2[rows]) ** 2).sum(axis=0)
+            sum_delta[b] += delta[rows].sum(axis=0)
+            counts[b] += rows.sum()
+        offset += size
+    a0 = (1.0 / math.sqrt(2.0)) * np.exp(-1j * omega0 * times)
+    return {
+        "times": times,
+        "delta_a_mean": sum_delta.sum(axis=0) / n_traj,
+        "rho11": sum_abs_a1.sum(axis=0) / n_traj / 0.5,
+        "rho01": np.conj(a0) * (sum_a1.sum(axis=0) / n_traj) / 0.5,
+        "leak": sum_abs_a2.sum(axis=0) / n_traj / 0.5,
+        "norm_defect": norm_defect,
+        "n_batches": n_batches,
+        "batch_mean_a1": sum_a1 / counts[:, None],
+        "batch_mean_abs_a1_sq": sum_abs_a1 / counts[:, None],
+    }
+
+
+def reference_correlation(values, n_lags):
+    """K at lags 0..n_lags: the mean of v(t) v(t + lag) over paths and origins, lag by lag."""
+    n_times = values.shape[1]
+    corr = np.empty(n_lags + 1)
+    for lag in range(n_lags + 1):
+        corr[lag] = float(np.mean(values[:, : n_times - lag] * values[:, lag:]))
+    return corr

@@ -9,12 +9,18 @@ the numpy and scipy that wrote the files.
 Rewrite every file after a change that moves output bytes on purpose:
 
     PYTHONPATH=src python tests/golden/regen.py
+
+It prints, per file, whether the file changed, how many lines moved and the
+first line that differs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -111,15 +117,34 @@ def produce(case: str, work: Path) -> dict:
     return files
 
 
+def differing_lines(expected: str, got: str) -> list:
+    """(1-based line number, expected line, produced line) of every line that differs."""
+    lines = zip_longest(expected.splitlines(keepends=True), got.splitlines(keepends=True),
+                        fillvalue="")
+    return [(number, a, b) for number, (a, b) in enumerate(lines, start=1) if a != b]
+
+
 def regenerate() -> None:
     for case in CASES:
         target = HERE / case
         target.mkdir(exist_ok=True)
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            produced = produce(case, Path(tmp))
         for old in target.iterdir():
-            old.unlink()
-        with tempfile.TemporaryDirectory() as tmp:
-            for name, text in produce(case, Path(tmp)).items():
-                (target / name).write_text(text, encoding="utf-8", newline="")
+            if old.name not in produced:
+                print(f"{case}/{old.name}: removed")
+                old.unlink()
+        for name, text in produced.items():
+            path = target / name
+            before = path.read_bytes().decode("utf-8") if path.exists() else ""
+            moved = differing_lines(before, text)
+            if not moved:
+                print(f"{case}/{name}: unchanged")
+            else:
+                number, a, b = moved[0]
+                print(f"{case}/{name}: changed, {len(moved)} lines; first line {number}: "
+                      f"{a!r} -> {b!r}")
+            path.write_text(text, encoding="utf-8", newline="")
     VERSIONS.write_text(json.dumps(versions(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

@@ -3,13 +3,17 @@
 The counts are of calls, not of time: one three-state point measures each
 coupling once (in CouplingOperator), H once per coupling (in
 frequency_decompose) and the initial state once; the radical-pair reaction
-superoperator is built from fixed projectors and measures nothing.
+superoperator is built from fixed projectors and measures nothing, and is
+summed on raw arrays, so each build checks one finished matrix.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from spinkinetics import liouville
+from spinkinetics.cli import main
 from spinkinetics.bloch_redfield import (
     BathSpec,
     CouplingOperator,
@@ -49,6 +53,35 @@ def test_one_three_state_point_measures_hermiticity_at_most_nine_times(defect_ca
 def test_the_reaction_superoperator_measures_no_hermiticity(defect_calls, model):
     reaction_supermatrix(model)
     assert defect_calls == []
+
+
+@pytest.fixture
+def checked_arrays(monkeypatch):
+    calls = []
+    check = liouville._checked_entries
+
+    def counted(entries, side, what):
+        calls.append(what)
+        return check(entries, side, what)
+
+    monkeypatch.setattr(liouville, "_checked_entries", counted)
+    return calls
+
+
+def test_one_radical_pair_run_checks_15_arrays(checked_arrays, tmp_path):
+    # 6 reaction superoperators (one each), 3 generators, 3 Hamiltonians,
+    # 2 initial states and the resolvent's integral
+    config = {"scenario": "radical-pair",
+              "parameters": {"variant": "jones_hore", "kappa_s_per_s": 2e9, "kappa_t_per_s": 6e8,
+                             "omega_mean_rad_s": 3e9, "delta_omega_rad_s": 1e9,
+                             "j_exchange_rad_s": 4e8, "initial_state": "superposition_ST0",
+                             "time_grid": {"t_max_s": 5e-9, "n_points": 201},
+                             "compute_yields": True}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(checked_arrays) == 15
+    assert checked_arrays.count("supermatrix") == 9
 
 
 def test_uncorrelated_bath_leaves_the_callers_couplings_untouched():

@@ -13,6 +13,13 @@ from spinkinetics import (
     perturbative_amplitudes,
     simulate_noise,
 )
+from spinkinetics.stochastic import CHUNK
+
+from _util import (
+    reference_correlation,
+    reference_perturbative_amplitudes,
+    reference_second_order_amplitude,
+)
 
 TAU = 1e-13
 VAR = 1e18
@@ -195,3 +202,59 @@ class TestClosedLoop:
         run = perturbative_amplitudes(process, 10 / TAU, 60 * TAU, n_traj=6000)
         rates = extract_rates(run)
         assert rates.w11 == pytest.approx(2 * VAR * TAU / 101.0, rel=0.15)
+
+
+def exact_mean_delta_a(times, omega_s):
+    """<da(t)> for K(tau) = VAR exp(-|tau|/TAU), which both noise kinds share."""
+    gamma = 1.0 / TAU - 1j * omega_s
+    return VAR * (times / gamma - (1.0 - np.exp(-gamma * times)) / gamma**2)
+
+
+class TestExactExpectation:
+    @pytest.mark.parametrize("make", [ou, dichotomous], ids=["ou", "dichotomous"])
+    @pytest.mark.parametrize("w_tau", [0.0, 1.0, 3.0])
+    def test_mean_delta_a_matches_the_closed_form(self, make, w_tau):
+        process, omega_s, n = make(seed=7), w_tau / TAU, 4000
+        run = perturbative_amplitudes(process, omega_s, 60 * TAU, n_traj=n)
+        paths = simulate_noise(process, 60 * TAU, n_paths=n, stream=0)
+        assert np.array_equal(paths.times, run.times)
+        per_path = reference_second_order_amplitude(
+            paths.values, omega_s, process.dt, paths.times
+        )
+        stderr = per_path.std(axis=0) / math.sqrt(n)
+        # twice the leading bias of the nested trapezoid rule, VAR dt^2 |gamma| t / 12
+        bias = VAR * process.dt**2 * abs(1.0 / TAU - 1j * omega_s) * run.times / 6.0
+        error = np.abs(run.delta_a_mean - exact_mean_delta_a(run.times, omega_s))
+        assert np.all(error <= 5.0 * stderr + bias)
+
+
+def assert_relatively_close(got, expected, rtol):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    worst = np.abs(got - expected) - rtol * np.abs(expected)
+    assert worst.max() <= 0.0, f"largest excess {worst.max()} at {np.unravel_index(worst.argmax(), worst.shape)}"
+
+
+class TestMatchesPathMajorReference:
+    """The time-major, path-reduced estimators against whole per-path histories."""
+
+    @pytest.mark.parametrize(
+        "make, n_traj",
+        [(ou, 300), (dichotomous, 300), (ou, CHUNK + 452), (dichotomous, CHUNK + 452)],
+        ids=["ou-300", "dichotomous-300", "ou-2500", "dichotomous-2500"],
+    )
+    def test_amplitude_ensemble(self, make, n_traj):
+        args = (make(seed=30), 1.0 / TAU, 20 * TAU, n_traj)
+        run = perturbative_amplitudes(*args, omega0=0.35 / TAU)
+        ref = reference_perturbative_amplitudes(*args, omega0=0.35 / TAU)
+        assert run.n_batches == ref["n_batches"]
+        for name in ("delta_a_mean", "rho11", "rho01", "leak", "batch_mean_a1",
+                     "batch_mean_abs_a1_sq", "norm_defect"):
+            assert_relatively_close(getattr(run, name), ref[name], 1e-13)
+
+    @pytest.mark.parametrize("make", [ou, dichotomous], ids=["ou", "dichotomous"])
+    def test_correlation(self, make):
+        paths = simulate_noise(make(seed=31), 20 * TAU, n_paths=CHUNK + 452)
+        spec = correlation_spectrum(paths)
+        ref = reference_correlation(paths.values, spec.lags.size - 1)
+        assert np.abs(spec.correlation - ref).max() <= 1e-12 * ref[0]
