@@ -149,9 +149,8 @@ def st_dephasing_super() -> Superoperator:
 
 def reaction_supermatrix(m: ReactionModel) -> Superoperator:
     """Positive-decay reaction superoperator K (rho-dot contains -K rho)."""
-    k = _anticommutator(_P_S.entries) * complex(0.5 * m.kappa_s) + _anticommutator(
-        _P_T.entries
-    ) * complex(0.5 * m.kappa_t)
+    k = _anticommutator(_P_S.entries) * complex(0.5 * m.kappa_s)
+    k = k + _anticommutator(_P_T.entries) * complex(0.5 * m.kappa_t)
     if m.kappa_st:
         k = k + _projector_dephasing(_P_S.entries) * complex(m.kappa_st)
     return Superoperator(PAIR_BASIS, k)

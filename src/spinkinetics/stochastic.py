@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.signal import lfilter
 
 from .bloch_redfield import (
@@ -44,6 +43,8 @@ from .three_state import SX, THREE_STATE_BASIS, hamiltonian
 
 #: fixed chunk size so that seeding is independent of ensemble size and host
 CHUNK = 2048
+#: time rows stepped between reductions; sets the working set, not the result
+STEP_ROWS = 64
 #: hard ceiling on T * sqrt(<v^2>) for the second-order window
 PERTURBATIVE_WINDOW_LIMIT = 0.5
 #: trajectory batches behind the bootstrap, and its resample count
@@ -85,17 +86,11 @@ class NoiseProcess:
         object.__setattr__(self, "dt", float(dt))
 
 
-def _chunk_rng(p: NoiseProcess, stream: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((p.seed, stream, chunk_index)))
-
-
 def _ou_chunk(p: NoiseProcess, n_steps: int, n_paths: int, rng) -> np.ndarray:
     sigma = math.sqrt(p.variance)
     decay = math.exp(-p.dt / p.tau_c)
     v0 = sigma * rng.standard_normal(n_paths)
-    kicks = (sigma * math.sqrt(1.0 - decay * decay)) * rng.standard_normal(
-        (n_paths, n_steps)
-    )
+    kicks = (sigma * math.sqrt(1.0 - decay * decay)) * rng.standard_normal((n_paths, n_steps))
     tail, _ = lfilter([1.0], [1.0, -decay], kicks, axis=1, zi=(decay * v0)[:, None])
     return np.concatenate([v0[:, None], tail], axis=1)
 
@@ -111,17 +106,14 @@ def _dichotomous_chunk(p: NoiseProcess, n_steps: int, n_paths: int, rng) -> np.n
 
 
 def _noise_chunk(p: NoiseProcess, n_steps: int, n_paths: int, stream: int, index: int):
-    rng = _chunk_rng(p, stream, index)
+    rng = np.random.default_rng(np.random.SeedSequence((p.seed, stream, index)))
     if p.kind is NoiseKind.ORNSTEIN_UHLENBECK:
         return _ou_chunk(p, n_steps, n_paths, rng)
     return _dichotomous_chunk(p, n_steps, n_paths, rng)
 
 
 def _chunk_sizes(n_paths: int):
-    sizes = [CHUNK] * (n_paths // CHUNK)
-    if n_paths % CHUNK:
-        sizes.append(n_paths % CHUNK)
-    return sizes
+    return [min(CHUNK, n_paths - start) for start in range(0, n_paths, CHUNK)]
 
 
 @dataclass(frozen=True)
@@ -151,15 +143,9 @@ def simulate_noise(
     if n_paths < 1:
         raise ValidationError("n_paths must be at least one")
     n_steps = int(math.ceil(duration / p.dt - 1e-9))
-    chunks = [
-        _noise_chunk(p, n_steps, size, stream, i)
-        for i, size in enumerate(_chunk_sizes(n_paths))
-    ]
-    return NoisePaths(
-        process=p,
-        times=np.arange(n_steps + 1) * p.dt,
-        values=np.concatenate(chunks, axis=0),
-    )
+    chunks = [_noise_chunk(p, n_steps, size, stream, i)
+              for i, size in enumerate(_chunk_sizes(n_paths))]
+    return NoisePaths(p, np.arange(n_steps + 1) * p.dt, np.concatenate(chunks, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +159,10 @@ MIN_SPECTRUM_PATHS = 1000
 class CorrelationSpectrum:
     """Estimated correlation function and its cosine-transform spectrum.
 
-    The spectrum is J(w) = 2 * integral_0^tmax K(t) cos(w t) dt with a plain
-    rectangular window out to ``window_t_max`` (documented here because the
-    truncation is part of the estimate).
+    ``correlation`` is the FFT estimate of K at ``lags``, each lag normalised by
+    its overlap count. The spectrum is J(w) = 2 * integral_0^tmax K(t) cos(w t) dt
+    with a plain rectangular window out to ``window_t_max`` (documented here
+    because the truncation is part of the estimate).
     """
 
     process: NoiseProcess
@@ -201,27 +188,31 @@ def correlation_spectrum(paths: NoisePaths) -> CorrelationSpectrum:
 
     Needs at least 1000 paths for a stable spectral estimate. Lags run to ten
     correlation times and the cosine transform uses a rectangular window over
-    that range.
+    that range. K at each lag is the sum of v(s) v(s + lag) over paths and
+    origins, taken from the zero-padded FFT power spectrum (Wiener-Khinchin)
+    of CHUNK paths at a time, divided by its overlap count n_paths (n - lag).
     """
     if paths.n_paths < MIN_SPECTRUM_PATHS:
         raise ValidationError(
             f"spectral estimation needs >= {MIN_SPECTRUM_PATHS} paths, got {paths.n_paths}"
         )
     p = paths.process
-    n_steps = paths.times.size - 1
-    n_lags = min(int(round(10.0 * p.tau_c / p.dt)), n_steps // 2)
+    n = paths.times.size
+    n_lags = min(int(round(10.0 * p.tau_c / p.dt)), (n - 1) // 2)
     if n_lags < 2:
         raise ValidationError("paths too short for the requested lag range")
-    v = paths.values
-    corr = np.empty(n_lags + 1)
-    for lag in range(n_lags + 1):
-        a = v[:, : n_steps + 1 - lag]
-        b = v[:, lag:]
-        corr[lag] = float(np.mean(a * b))
+    # padding to n + n_lags keeps the circular products of the FFT off every lag read
+    size = 1 << (n + n_lags - 1).bit_length()
+    power = np.zeros(size // 2 + 1)
+    for start in range(0, paths.n_paths, CHUNK):
+        f = np.fft.rfft(paths.values[start : start + CHUNK], n=size, axis=1)
+        parts = f.view(float).reshape(f.shape + (2,))
+        power += np.einsum("ijk,ijk->j", parts, parts)
+    lagged = np.fft.irfft(power, n=size)[: n_lags + 1]
     return CorrelationSpectrum(
         process=p,
         lags=paths.times[: n_lags + 1].copy(),
-        correlation=corr,
+        correlation=lagged / (paths.n_paths * (n - np.arange(n_lags + 1))),
         window="rectangular",
         window_t_max=float(n_lags * p.dt),
     )
@@ -241,43 +232,61 @@ def _check_perturbative_window(p: NoiseProcess, duration: float) -> None:
         )
 
 
-def _schroedinger_block(v: np.ndarray, omega_s: float, dt: float):
-    """Evolve the coupled (1, 2) amplitudes exactly per step.
-
-    The step Hamiltonian is (omega_s/2) sz + vbar sx with vbar the midpoint
-    noise value; each step applies the closed-form 2x2 rotation.
-    """
-    n_paths, n_times = v.shape
-    half = 0.5 * omega_s
-    vbar = 0.5 * (v[:, :-1] + v[:, 1:])
+def _step_rotations(w: np.ndarray, half: float, dt: float):
+    """Exact steps of H = half sz + vbar sx, half = omega_s / 2 and vbar the midpoint
+    of the time-major noise rows ``w``: exp(-i H dt) has the diagonal e = cos -+ i sinc
+    half and the off-diagonal g = -i sinc vbar, sinc = sin(r dt) / r, r = |(half, vbar)|."""
+    vbar = 0.5 * (w[:-1] + w[1:])
     r = np.sqrt(half * half + vbar * vbar)
     phi = r * dt
-    cos_phi = np.cos(phi)
     sinc = np.where(r > 0, np.sin(phi) / np.where(r > 0, r, 1.0), dt)
-    a1 = np.full(n_paths, 1.0 / math.sqrt(2.0), dtype=complex)
-    a2 = np.zeros(n_paths, dtype=complex)
-    out1 = np.empty((n_paths, n_times), dtype=complex)
-    out2 = np.empty((n_paths, n_times), dtype=complex)
-    out1[:, 0] = a1
-    out2[:, 0] = a2
-    for k in range(n_times - 1):
-        c = cos_phi[:, k]
-        s = sinc[:, k]
-        vk = vbar[:, k]
-        new1 = (c - 1j * s * half) * a1 - 1j * s * vk * a2
-        new2 = -1j * s * vk * a1 + (c + 1j * s * half) * a2
-        a1, a2 = new1, new2
-        out1[:, k + 1] = a1
-        out2[:, k + 1] = a2
-    return out1, out2
+    e = np.empty((vbar.shape[0], 2, vbar.shape[1]), dtype=complex)
+    e.real = np.cos(phi)[:, None]
+    e.imag[:, 1] = sinc * half
+    e.imag[:, 0] = -e.imag[:, 1]
+    g = np.zeros(vbar.shape, dtype=complex)
+    g.imag = -(sinc * vbar)
+    return e, g
 
 
-def _second_order_amplitude(v: np.ndarray, omega_s: float, dt: float, times: np.ndarray):
-    """Per-path da(t) by nested cumulative (trapezoid) integrals."""
-    phase = np.exp(-1j * omega_s * times)[None, :]
-    inner = cumulative_trapezoid(v * phase, dx=dt, initial=0.0, axis=1)
-    outer = v * np.conj(phase) * inner
-    return cumulative_trapezoid(outer, dx=dt, initial=0.0, axis=1)
+def _add_chunk(vt: np.ndarray, omega_s: float, dt: float, phase, batch, v_inner, sum_a1, sum_sq):
+    """Step one chunk, vt[k, i] = v_i(t_k), STEP_ROWS rows at a time, from
+    (a1, a2) = (1/sqrt 2, 0). Adds per time the path sum of v inner (the cumulative
+    trapezoid of v phase, in units of dt / 2) into ``v_inner``, and the sums of a1
+    and (|a1|^2, |a2|^2) over each batch of paths into ``sum_a1`` and ``sum_sq``.
+    Returns the largest | |a1|^2 + |a2|^2 + 1/2 - 1 |.
+    """
+    n_times, n = vt.shape
+    starts = np.flatnonzero(np.diff(batch, prepend=-1))
+    cols = batch[starts]
+    amp = np.zeros((STEP_ROWS + 1, 2, n), dtype=complex)  # rows of (a1, a2)
+    amp[0, 0] = 1.0 / math.sqrt(2.0)
+    swap = np.empty((2, n), dtype=complex)
+    inner = np.zeros(n, dtype=complex)
+    norm_defect = 0.0
+    for k0 in range(0, n_times - 1, STEP_ROWS):
+        w = vt[k0 : k0 + STEP_ROWS + 1]
+        m = w.shape[0] - 1
+        e, g = _step_rotations(w, 0.5 * omega_s, dt)
+        for j in range(m):
+            np.multiply(e[j], amp[j], out=swap)
+            np.multiply(g[j], amp[j, ::-1], out=amp[j + 1])
+            amp[j + 1] += swap
+        lo = 1 if k0 else 0  # the first block also sums time 0
+        rows = slice(k0 + lo, k0 + m + 1)
+        sq = np.abs(amp[lo : m + 1]) ** 2
+        norm_defect = max(norm_defect, float(np.abs(sq[:, 0] + sq[:, 1] + 0.5 - 1.0).max()))
+        sum_a1[rows][:, cols] += np.add.reduceat(amp[lo : m + 1, 0], starts, axis=1)
+        sum_sq[rows][:, :, cols] += np.add.reduceat(sq, starts, axis=2)
+        amp[0] = amp[m]
+        y = w * phase[k0 : k0 + m + 1, None]
+        steps = y[1:] + y[:-1]
+        steps[0] += inner
+        for j in range(1, m):  # row by row: faster than cumsum across rows
+            steps[j] += steps[j - 1]
+        inner = steps[-1]
+        v_inner[k0 + 1 : k0 + m + 1] += np.einsum("kj,kj->k", w[1:], steps)
+    return norm_defect
 
 
 @dataclass(frozen=True)
@@ -313,47 +322,42 @@ def perturbative_amplitudes(
     Processes the ensemble in fixed-size chunks so memory stays flat and the
     result is bit-identical for a given seed regardless of ensemble splitting.
     Draws noise stream 0, in min(N_BATCHES, n_traj) batches of trajectories.
+    Each chunk is stepped time-major and summed over paths as it goes (no
+    per-path history). The trapezoid rule is linear, so the reduced da runs its
+    outer integral once, over the path sum of v conj(phase) inner.
     """
     _check_perturbative_window(p, duration)
     n_batches = max(1, min(N_BATCHES, n_traj))
     n_steps = int(math.ceil(duration / p.dt - 1e-9))
     times = np.arange(n_steps + 1) * p.dt
-    nt = n_steps + 1
-    sum_a1 = np.zeros((n_batches, nt), dtype=complex)
-    sum_abs_a1 = np.zeros((n_batches, nt))
-    sum_abs_a2 = np.zeros((n_batches, nt))
-    sum_delta = np.zeros((n_batches, nt), dtype=complex)
-    counts = np.zeros(n_batches, dtype=np.int64)
+    phase = np.exp(-1j * omega_s * times)
+    batch = (np.arange(n_traj) * n_batches) // n_traj
+    v_inner = np.zeros(n_steps + 1, dtype=complex)
+    sum_a1 = np.zeros((n_steps + 1, n_batches), dtype=complex)
+    sum_sq = np.zeros((n_steps + 1, 2, n_batches))
     norm_defect = 0.0
-    offset = 0
     for i, size in enumerate(_chunk_sizes(n_traj)):
-        v = _noise_chunk(p, n_steps, size, 0, i)
-        delta = _second_order_amplitude(v, omega_s, p.dt, times)
-        a1, a2 = _schroedinger_block(v, omega_s, p.dt)
-        norms = np.abs(a1) ** 2 + np.abs(a2) ** 2 + 0.5
-        norm_defect = max(norm_defect, float(np.abs(norms - 1.0).max()))
-        batch = (np.arange(offset, offset + size) * n_batches) // n_traj
-        for b in np.unique(batch):
-            rows = batch == b
-            sum_a1[b] += a1[rows].sum(axis=0)
-            sum_abs_a1[b] += (np.abs(a1[rows]) ** 2).sum(axis=0)
-            sum_abs_a2[b] += (np.abs(a2[rows]) ** 2).sum(axis=0)
-            sum_delta[b] += delta[rows].sum(axis=0)
-            counts[b] += rows.sum()
-        offset += size
+        vt = np.ascontiguousarray(_noise_chunk(p, n_steps, size, 0, i).T)
+        ids = batch[i * CHUNK : i * CHUNK + size]
+        defect = _add_chunk(vt, omega_s, p.dt, phase, ids, v_inner, sum_a1, sum_sq)
+        norm_defect = max(norm_defect, defect)
+        del vt  # before the next chunk's noise is drawn
+    outer = np.conj(phase) * v_inner * (0.5 * p.dt)
+    delta_a = np.concatenate([[0.0], np.cumsum(p.dt * (outer[1:] + outer[:-1]) / 2.0)])
+    counts = np.bincount(batch, minlength=n_batches)
     a0 = (1.0 / math.sqrt(2.0)) * np.exp(-1j * omega0 * times)
-    mean_a1 = sum_a1.sum(axis=0) / n_traj
+    mean_sq = sum_sq.sum(axis=2) / n_traj / 0.5
     return PerturbativeRun(
         process=p,
         times=times,
-        delta_a_mean=sum_delta.sum(axis=0) / n_traj,
-        rho11=sum_abs_a1.sum(axis=0) / n_traj / 0.5,
-        rho01=np.conj(a0) * mean_a1 / 0.5,
-        leak=sum_abs_a2.sum(axis=0) / n_traj / 0.5,
+        delta_a_mean=delta_a / n_traj,
+        rho11=mean_sq[:, 0],
+        rho01=np.conj(a0) * (sum_a1.sum(axis=1) / n_traj) / 0.5,
+        leak=mean_sq[:, 1],
         norm_defect=norm_defect,
         n_batches=n_batches,
-        batch_mean_a1=sum_a1 / counts[:, None],
-        batch_mean_abs_a1_sq=sum_abs_a1 / counts[:, None],
+        batch_mean_a1=np.ascontiguousarray(sum_a1.T) / counts[:, None],
+        batch_mean_abs_a1_sq=np.ascontiguousarray(sum_sq[:, 0].T) / counts[:, None],
     )
 
 
@@ -417,16 +421,10 @@ def extract_rates(run: PerturbativeRun) -> RateExtraction:
     rng = np.random.default_rng(np.random.SeedSequence((run.process.seed, 0xB007)))
     b = run.n_batches
     picks = rng.integers(0, b, size=(N_BOOTSTRAP, b))
-    weights = np.zeros((N_BOOTSTRAP, b))
-    for r in range(N_BOOTSTRAP):
-        weights[r] = np.bincount(picks[r], minlength=b)
-    weights /= b
+    weights = np.apply_along_axis(np.bincount, 1, picks, minlength=b) / b
 
-    rho11_rs = (weights @ run.batch_mean_abs_a1_sq[:, idx]) / 0.5
-    mean_a1_rs = weights @ run.batch_mean_a1[:, idx]
-    abs_rho01_rs = np.abs(mean_a1_rs) * math.sqrt(2.0)
-    w11_rs = _slope(tw, -np.log(rho11_rs))
-    w01_rs = _slope(tw, -np.log(abs_rho01_rs))
+    w11_rs = _slope(tw, -np.log((weights @ run.batch_mean_abs_a1_sq[:, idx]) / 0.5))
+    w01_rs = _slope(tw, -np.log(np.abs(weights @ run.batch_mean_a1[:, idx]) * math.sqrt(2.0)))
     ratio_rs = w01_rs / w11_rs
 
     return RateExtraction(
@@ -436,10 +434,7 @@ def extract_rates(run: PerturbativeRun) -> RateExtraction:
         w01_stderr=float(np.std(w01_rs)),
         ratio=w01 / w11,
         ratio_stderr=float(np.std(ratio_rs)),
-        ratio_ci95=(
-            float(np.percentile(ratio_rs, 2.5)),
-            float(np.percentile(ratio_rs, 97.5)),
-        ),
+        ratio_ci95=tuple(float(q) for q in np.percentile(ratio_rs, [2.5, 97.5])),
         window=(float(tw[0]), float(tw[-1])),
         w11_from_delta_a=w11_delta,
     )
@@ -487,9 +482,7 @@ def closed_loop_check(
     duration = closed_loop_duration(p, duration)
     run = perturbative_amplitudes(p, omega_s, duration, n_traj, omega0=omega0)
     rates = extract_rates(run)
-    corr_paths = simulate_noise(
-        p, max(duration, 60.0 * p.tau_c), n_paths=n_spectrum_paths, stream=1
-    )
+    corr_paths = simulate_noise(p, max(duration, 60.0 * p.tau_c), n_spectrum_paths, stream=1)
     spectrum = correlation_spectrum(corr_paths)
     grid_top = max(3.0 * abs(omega_s), 6.0 / p.tau_c)
     tabulated = spectrum.to_tabulated(np.linspace(0.0, grid_top, 601))

@@ -180,8 +180,7 @@ def projection_limit_super(
     if splitting_rate:
         gen = gen + _projector_dephasing(p1) * complex(-0.5 * splitting_rate)
     if w00_inf:
-        p0 = _pair_operator(0, 0)
-        gen = gen + _anticommutator(p0) * complex(-0.5 * w00_inf)
+        gen = gen + _anticommutator(_pair_operator(0, 0)) * complex(-0.5 * w00_inf)
     return Superoperator(THREE_STATE_BASIS, gen)
 
 
