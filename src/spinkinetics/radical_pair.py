@@ -40,7 +40,6 @@ from .liouville import (
     _validated_times,
     assemble_generator,
     infinite_time_integral,
-    projector_dephasing_super,
     propagate,
 )
 
@@ -144,7 +143,7 @@ class ReactionModel:
 
 def st_dephasing_super() -> Superoperator:
     """Pure ST dephasing operator D_S: rho -> (P_S rho P_T + P_T rho P_S)/2."""
-    return projector_dephasing_super(_P_S)
+    return Superoperator(PAIR_BASIS, _projector_dephasing(_P_S.entries))
 
 
 def reaction_supermatrix(m: ReactionModel) -> Superoperator:

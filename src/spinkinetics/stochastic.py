@@ -90,7 +90,9 @@ def _ou_chunk(p: NoiseProcess, n_steps: int, n_paths: int, rng) -> np.ndarray:
     sigma = math.sqrt(p.variance)
     decay = math.exp(-p.dt / p.tau_c)
     v0 = sigma * rng.standard_normal(n_paths)
-    kicks = (sigma * math.sqrt(1.0 - decay * decay)) * rng.standard_normal((n_paths, n_steps))
+    kicks = (sigma * math.sqrt(1.0 - decay * decay)) * rng.standard_normal(
+        (n_paths, n_steps)
+    )
     tail, _ = lfilter([1.0], [1.0, -decay], kicks, axis=1, zi=(decay * v0)[:, None])
     return np.concatenate([v0[:, None], tail], axis=1)
 
@@ -242,11 +244,8 @@ def _step_rotations(w: np.ndarray, half: float, dt: float):
     sinc = np.where(r > 0, np.sin(phi) / np.where(r > 0, r, 1.0), dt)
     e = np.empty((vbar.shape[0], 2, vbar.shape[1]), dtype=complex)
     e.real = np.cos(phi)[:, None]
-    e.imag[:, 1] = sinc * half
-    e.imag[:, 0] = -e.imag[:, 1]
-    g = np.zeros(vbar.shape, dtype=complex)
-    g.imag = -(sinc * vbar)
-    return e, g
+    e.imag = (sinc * half)[:, None] * np.array([-1.0, 1.0])[:, None]
+    return e, -1j * (sinc * vbar)
 
 
 def _add_chunk(vt: np.ndarray, omega_s: float, dt: float, phase, batch, v_inner, sum_a1, sum_sq):
@@ -254,14 +253,12 @@ def _add_chunk(vt: np.ndarray, omega_s: float, dt: float, phase, batch, v_inner,
     (a1, a2) = (1/sqrt 2, 0). Adds per time the path sum of v inner (the cumulative
     trapezoid of v phase, in units of dt / 2) into ``v_inner``, and the sums of a1
     and (|a1|^2, |a2|^2) over each batch of paths into ``sum_a1`` and ``sum_sq``.
-    Returns the largest | |a1|^2 + |a2|^2 + 1/2 - 1 |.
-    """
+    Returns the largest | |a1|^2 + |a2|^2 + 1/2 - 1 |."""
     n_times, n = vt.shape
     starts = np.flatnonzero(np.diff(batch, prepend=-1))
     cols = batch[starts]
     amp = np.zeros((STEP_ROWS + 1, 2, n), dtype=complex)  # rows of (a1, a2)
     amp[0, 0] = 1.0 / math.sqrt(2.0)
-    swap = np.empty((2, n), dtype=complex)
     inner = np.zeros(n, dtype=complex)
     norm_defect = 0.0
     for k0 in range(0, n_times - 1, STEP_ROWS):
@@ -269,9 +266,8 @@ def _add_chunk(vt: np.ndarray, omega_s: float, dt: float, phase, batch, v_inner,
         m = w.shape[0] - 1
         e, g = _step_rotations(w, 0.5 * omega_s, dt)
         for j in range(m):
-            np.multiply(e[j], amp[j], out=swap)
             np.multiply(g[j], amp[j, ::-1], out=amp[j + 1])
-            amp[j + 1] += swap
+            amp[j + 1] += e[j] * amp[j]
         lo = 1 if k0 else 0  # the first block also sums time 0
         rows = slice(k0 + lo, k0 + m + 1)
         sq = np.abs(amp[lo : m + 1]) ** 2
@@ -341,7 +337,7 @@ def perturbative_amplitudes(
         ids = batch[i * CHUNK : i * CHUNK + size]
         defect = _add_chunk(vt, omega_s, p.dt, phase, ids, v_inner, sum_a1, sum_sq)
         norm_defect = max(norm_defect, defect)
-        del vt  # before the next chunk's noise is drawn
+        del vt  # freed before the next chunk's noise is drawn, for peak memory
     outer = np.conj(phase) * v_inner * (0.5 * p.dt)
     delta_a = np.concatenate([[0.0], np.cumsum(p.dt * (outer[1:] + outer[:-1]) / 2.0)])
     counts = np.bincount(batch, minlength=n_batches)
@@ -356,8 +352,8 @@ def perturbative_amplitudes(
         leak=mean_sq[:, 1],
         norm_defect=norm_defect,
         n_batches=n_batches,
-        batch_mean_a1=np.ascontiguousarray(sum_a1.T) / counts[:, None],
-        batch_mean_abs_a1_sq=np.ascontiguousarray(sum_sq[:, 0].T) / counts[:, None],
+        batch_mean_a1=(sum_a1 / counts).T,
+        batch_mean_abs_a1_sq=(sum_sq[:, 0] / counts).T,
     )
 
 
@@ -423,8 +419,11 @@ def extract_rates(run: PerturbativeRun) -> RateExtraction:
     picks = rng.integers(0, b, size=(N_BOOTSTRAP, b))
     weights = np.apply_along_axis(np.bincount, 1, picks, minlength=b) / b
 
-    w11_rs = _slope(tw, -np.log((weights @ run.batch_mean_abs_a1_sq[:, idx]) / 0.5))
-    w01_rs = _slope(tw, -np.log(np.abs(weights @ run.batch_mean_a1[:, idx]) * math.sqrt(2.0)))
+    rho11_rs = (weights @ run.batch_mean_abs_a1_sq[:, idx]) / 0.5
+    mean_a1_rs = weights @ run.batch_mean_a1[:, idx]
+    abs_rho01_rs = np.abs(mean_a1_rs) * math.sqrt(2.0)
+    w11_rs = _slope(tw, -np.log(rho11_rs))
+    w01_rs = _slope(tw, -np.log(abs_rho01_rs))
     ratio_rs = w01_rs / w11_rs
 
     return RateExtraction(
@@ -482,7 +481,9 @@ def closed_loop_check(
     duration = closed_loop_duration(p, duration)
     run = perturbative_amplitudes(p, omega_s, duration, n_traj, omega0=omega0)
     rates = extract_rates(run)
-    corr_paths = simulate_noise(p, max(duration, 60.0 * p.tau_c), n_spectrum_paths, stream=1)
+    corr_paths = simulate_noise(
+        p, max(duration, 60.0 * p.tau_c), n_paths=n_spectrum_paths, stream=1
+    )
     spectrum = correlation_spectrum(corr_paths)
     grid_top = max(3.0 * abs(omega_s), 6.0 / p.tau_c)
     tabulated = spectrum.to_tabulated(np.linspace(0.0, grid_top, 601))
