@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from spinkinetics import liouville
-from spinkinetics.cli import main
 from spinkinetics.bloch_redfield import (
     BathSpec,
     CouplingOperator,
     Lorentzian,
     relaxation_supermatrix,
 )
+from spinkinetics.cli import main
 from spinkinetics.liouville import BasisLabel, DensityMatrix, OperatorMatrix
 from spinkinetics.radical_pair import ReactionModel, reaction_supermatrix
 from spinkinetics.three_state import THREE_STATE_BASIS, ThreeStateParams, build_bath

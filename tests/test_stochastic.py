@@ -231,8 +231,9 @@ class TestExactExpectation:
 def assert_relatively_close(got, expected, rtol):
     got, expected = np.asarray(got), np.asarray(expected)
     assert got.shape == expected.shape
-    worst = np.abs(got - expected) - rtol * np.abs(expected)
-    assert worst.max() <= 0.0, f"largest excess {worst.max()} at {np.unravel_index(worst.argmax(), worst.shape)}"
+    excess = np.abs(got - expected) - rtol * np.abs(expected)
+    where = np.unravel_index(excess.argmax(), excess.shape)
+    assert excess.max() <= 0.0, f"largest excess {excess.max()} at {where}"
 
 
 class TestMatchesPathMajorReference:
