@@ -25,7 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .liouville import OperatorMatrix, Superoperator
+from .liouville import OperatorMatrix, Superoperator, _sandwich
 
 #: relative tolerance used to merge nearly degenerate Bohr frequencies
 FREQUENCY_BIN_RTOL = 1e-9
@@ -312,12 +312,7 @@ def _relaxation_super(l: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     (Theta, -Theta) and (Lambda + Theta, Lambda - Theta) / 2.
     """
     eye = np.eye(l.shape[0])
-    return (
-        np.kron(b, l.T)
-        + np.kron(l, a.T)
-        - np.kron(eye, (a @ l).T)
-        - np.kron(l @ b, eye)
-    )
+    return _sandwich(b, l) + _sandwich(l, a) - _sandwich(eye, a @ l) - _sandwich(l @ b, eye)
 
 
 def double_commutator_part(bath: BathSpec, h: OperatorMatrix) -> Superoperator:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.linalg import solve as linear_solve
 
@@ -235,15 +234,21 @@ class Superoperator:
 # superoperator constructors
 # ---------------------------------------------------------------------------
 
+def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Supermatrix of rho -> a rho b under row-major vectorisation: kron(a, b.T)."""
+    n = a.shape[0]
+    return (a[:, None, :, None] * b.T[None, :, None, :]).reshape(n * n, n * n)
+
+
 def conjugation_super(a: OperatorMatrix, b: OperatorMatrix) -> Superoperator:
     """rho -> A rho B."""
     _check_same_basis(a, b, "conjugation_super")
-    return Superoperator(a.basis, np.kron(a.entries, b.entries.T))
+    return Superoperator(a.basis, _sandwich(a.entries, b.entries))
 
 
 def _commutator(a: np.ndarray) -> np.ndarray:
     eye = np.eye(a.shape[0])
-    return np.kron(a, eye) - np.kron(eye, a.T)
+    return _sandwich(a, eye) - _sandwich(eye, a)
 
 
 def commutator_super(a: OperatorMatrix) -> Superoperator:
@@ -253,12 +258,12 @@ def commutator_super(a: OperatorMatrix) -> Superoperator:
 
 def _anticommutator(a: np.ndarray) -> np.ndarray:
     eye = np.eye(a.shape[0])
-    return np.kron(a, eye) + np.kron(eye, a.T)
+    return _sandwich(a, eye) + _sandwich(eye, a)
 
 
 def _projector_dephasing(p: np.ndarray) -> np.ndarray:
     # complex scalars, as Superoperator's * multiplies, keep every bit of the sum
-    return _anticommutator(p) * complex(0.5) - np.kron(p, p.T)
+    return _anticommutator(p) * complex(0.5) - _sandwich(p, p)
 
 
 def anticommutator_super(a: OperatorMatrix) -> Superoperator:
@@ -395,6 +400,8 @@ def propagate(
         vectors = _expm_steps(l.matrix, vectorize(rho0.entries), t)
         return Propagation(l.basis, t, _density_stack(vectors.reshape(t.size, n, n), t))
     if method == "rk":
+        from scipy.integrate import solve_ivp  # imported here: only this branch needs it
+
         m = l.matrix
         sol = solve_ivp(
             lambda _t, y: m @ y,

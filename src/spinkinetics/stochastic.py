@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .bloch_redfield import (
     BathSpec,
@@ -87,24 +86,29 @@ class NoiseProcess:
 
 
 def _ou_chunk(p: NoiseProcess, n_steps: int, n_paths: int, rng) -> np.ndarray:
+    """Time-major (n_steps + 1, n_paths) paths by the exact update
+    v[k + 1] = decay * v[k] + kick[k] (Gillespie, Phys. Rev. E 54, 2084 (1996))."""
     sigma = math.sqrt(p.variance)
     decay = math.exp(-p.dt / p.tau_c)
-    v0 = sigma * rng.standard_normal(n_paths)
-    kicks = (sigma * math.sqrt(1.0 - decay * decay)) * rng.standard_normal(
-        (n_paths, n_steps)
-    )
-    tail, _ = lfilter([1.0], [1.0, -decay], kicks, axis=1, zi=(decay * v0)[:, None])
-    return np.concatenate([v0[:, None], tail], axis=1)
+    v = np.empty((n_steps + 1, n_paths))
+    v[0] = sigma * rng.standard_normal(n_paths)
+    kicks = v[1:].T  # drawn (n_paths, n_steps): the draw order fixes the seeded values
+    kicks[:] = rng.standard_normal((n_paths, n_steps))
+    kicks *= sigma * math.sqrt(1.0 - decay * decay)
+    for k in range(n_steps):
+        v[k + 1] += decay * v[k]
+    return v
 
 
 def _dichotomous_chunk(p: NoiseProcess, n_steps: int, n_paths: int, rng) -> np.ndarray:
+    """Time-major (n_steps + 1, n_paths) telegraph paths of amplitude sqrt(variance)."""
     # flip rate 1/(2 tau_c) gives exp(-t/tau_c) correlation; a step flips the
     # sign when it holds an odd number of flips, with probability q
     q = 0.5 * -math.expm1(-p.dt / p.tau_c)
-    signs = np.empty((n_paths, n_steps + 1))
-    signs[:, 0] = rng.integers(0, 2, n_paths) * 2 - 1
-    signs[:, 1:] = np.where(rng.random((n_paths, n_steps)) < q, -1.0, 1.0)
-    return math.sqrt(p.variance) * np.cumprod(signs, axis=1)
+    signs = np.empty((n_steps + 1, n_paths))
+    signs[0] = rng.integers(0, 2, n_paths) * 2 - 1
+    signs[1:].T[:] = np.where(rng.random((n_paths, n_steps)) < q, -1.0, 1.0)
+    return math.sqrt(p.variance) * np.cumprod(signs, axis=0)
 
 
 def _noise_chunk(p: NoiseProcess, n_steps: int, n_paths: int, stream: int, index: int):
@@ -145,9 +149,10 @@ def simulate_noise(
     if n_paths < 1:
         raise ValidationError("n_paths must be at least one")
     n_steps = int(math.ceil(duration / p.dt - 1e-9))
-    chunks = [_noise_chunk(p, n_steps, size, stream, i)
-              for i, size in enumerate(_chunk_sizes(n_paths))]
-    return NoisePaths(p, np.arange(n_steps + 1) * p.dt, np.concatenate(chunks, axis=0))
+    values = np.empty((n_paths, n_steps + 1))
+    for i, size in enumerate(_chunk_sizes(n_paths)):
+        values[i * CHUNK : i * CHUNK + size] = _noise_chunk(p, n_steps, size, stream, i).T
+    return NoisePaths(p, np.arange(n_steps + 1) * p.dt, values)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +338,7 @@ def perturbative_amplitudes(
     sum_sq = np.zeros((n_steps + 1, 2, n_batches))
     norm_defect = 0.0
     for i, size in enumerate(_chunk_sizes(n_traj)):
-        vt = np.ascontiguousarray(_noise_chunk(p, n_steps, size, 0, i).T)
+        vt = _noise_chunk(p, n_steps, size, 0, i)
         ids = batch[i * CHUNK : i * CHUNK + size]
         defect = _add_chunk(vt, omega_s, p.dt, phase, ids, v_inner, sum_a1, sum_sq)
         norm_defect = max(norm_defect, defect)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.signal import lfilter
 
 from spinkinetics import stochastic
 
@@ -42,6 +43,27 @@ def hermiticity_defect_sample(superop):
 # ---------------------------------------------------------------------------
 # Monte Carlo references: the path-major forms the package code must reproduce
 # ---------------------------------------------------------------------------
+
+def reference_ou_chunk(p, n_steps, n_paths, rng):
+    """Path-major OU paths, v[i, k] = v_i(t_k), by lfilter over the kicks."""
+    sigma = math.sqrt(p.variance)
+    decay = math.exp(-p.dt / p.tau_c)
+    v0 = sigma * rng.standard_normal(n_paths)
+    kicks = (sigma * math.sqrt(1.0 - decay * decay)) * rng.standard_normal(
+        (n_paths, n_steps)
+    )
+    tail, _ = lfilter([1.0], [1.0, -decay], kicks, axis=1, zi=(decay * v0)[:, None])
+    return np.concatenate([v0[:, None], tail], axis=1)
+
+
+def reference_dichotomous_chunk(p, n_steps, n_paths, rng):
+    """Path-major telegraph paths by a cumulative product along each path."""
+    q = 0.5 * -math.expm1(-p.dt / p.tau_c)
+    signs = np.empty((n_paths, n_steps + 1))
+    signs[:, 0] = rng.integers(0, 2, n_paths) * 2 - 1
+    signs[:, 1:] = np.where(rng.random((n_paths, n_steps)) < q, -1.0, 1.0)
+    return math.sqrt(p.variance) * np.cumprod(signs, axis=1)
+
 
 def reference_schroedinger_block(v, omega_s, dt):
     """Per-path (1, 2) amplitudes, v[i, k] = v_i(t_k), one column per step."""
@@ -92,7 +114,7 @@ def reference_perturbative_amplitudes(p, omega_s, duration, n_traj, omega0=0.0):
     norm_defect = 0.0
     offset = 0
     for i, size in enumerate(stochastic._chunk_sizes(n_traj)):
-        v = stochastic._noise_chunk(p, n_steps, size, 0, i)
+        v = stochastic._noise_chunk(p, n_steps, size, 0, i).T
         delta = reference_second_order_amplitude(v, omega_s, p.dt, times)
         a1, a2 = reference_schroedinger_block(v, omega_s, p.dt)
         norms = np.abs(a1) ** 2 + np.abs(a2) ** 2 + 0.5

@@ -4,6 +4,9 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -625,6 +628,16 @@ class TestOutputDir:
         assert err["error"] == "validation"
         assert "config.output.dir" in err["message"]
         assert calls == []
+
+
+def test_cli_import_leaves_scipy_signal_and_integrate_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, spinkinetics.cli; "
+            "print(sorted({'scipy.signal', 'scipy.integrate'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestFlags:

@@ -28,7 +28,7 @@ from spinkinetics import (
     sandwich_super,
     validity_check,
 )
-from spinkinetics.liouville import vectorize
+from spinkinetics.liouville import _sandwich, vectorize
 
 B3 = BasisLabel(("0", "1", "2"))
 B4 = BasisLabel(("a", "b", "c", "d"))
@@ -134,6 +134,24 @@ class TestConstructors:
     def test_basis_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             conjugation_super(op(B3, np.eye(3)), op(BasisLabel(("x", "y", "z")), np.eye(3)))
+
+
+def sandwich_operands(n):
+    """Random complex pairs, identities and signed zeros, as (a, b) pairs."""
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    eye = np.eye(n)
+    signed = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0) + 1j * np.where(
+        rng.random((n, n)) < 0.5, -0.0, 0.0
+    )
+    return [(a, b), (a, eye), (eye, a), (eye, eye), (signed, a), (a, signed), (a, -b)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_sandwich_is_kron_with_the_right_factor_transposed(n):
+    for a, b in sandwich_operands(n):
+        assert _sandwich(a, b).tobytes() == np.kron(a, b.T).tobytes()
 
 
 class TestGenerator:

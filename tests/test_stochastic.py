@@ -13,10 +13,12 @@ from spinkinetics import (
     perturbative_amplitudes,
     simulate_noise,
 )
-from spinkinetics.stochastic import CHUNK
+from spinkinetics.stochastic import CHUNK, _noise_chunk
 
 from _util import (
     reference_correlation,
+    reference_dichotomous_chunk,
+    reference_ou_chunk,
     reference_perturbative_amplitudes,
     reference_second_order_amplitude,
 )
@@ -44,6 +46,24 @@ class TestNoiseProcess:
     def test_short_duration_rejected(self):
         with pytest.raises(ValidationError):
             simulate_noise(ou(), 5 * TAU)
+
+
+class TestNoiseChunks:
+    """Time-major chunks are the transposes of the path-major references, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make, reference",
+        [(ou, reference_ou_chunk), (dichotomous, reference_dichotomous_chunk)],
+        ids=["ou", "dichotomous"],
+    )
+    @pytest.mark.parametrize("n_paths", [1, 300, CHUNK])
+    def test_chunk_is_the_reference_transposed(self, make, reference, n_paths):
+        p, n_steps, stream, index = make(seed=11), 400, 1, 2
+        chunk = _noise_chunk(p, n_steps, n_paths, stream, index)
+        rng = np.random.default_rng(np.random.SeedSequence((p.seed, stream, index)))
+        expected = reference(p, n_steps, n_paths, rng)
+        assert chunk.shape == (n_steps + 1, n_paths)
+        assert chunk.tobytes() == np.ascontiguousarray(expected.T).tobytes()
 
 
 class TestNoiseStatistics:
