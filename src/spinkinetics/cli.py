@@ -389,6 +389,7 @@ def _run_radical_pair(params: dict, seed):
         y = radical_pair.recombination_yields(model, h, rho0)
         yields_block = {"singlet": y.singlet, "triplet": y.triplet, "total": y.total}
     series = _state_series(radical_pair.generator(model, h), rho0, params, _RP_COLUMNS)
+    tau_c = params.get("tau_c_s")
     results = {
         "rate_elements": {
             "k_SS_per_s": elements.k_ss,
@@ -402,7 +403,7 @@ def _run_radical_pair(params: dict, seed):
         },
         "yields": yields_block,
         "validity": _validity_block(
-            params.get("tau_c_s"), radical_pair.reaction_supermatrix(model)
+            tau_c, None if tau_c is None else radical_pair.reaction_supermatrix(model)
         ),
     }
     return results, series
@@ -457,9 +458,9 @@ def _run_radii(params: dict, seed):
             "k_TT_per_s": rates.k_tt,
             "k_ST_per_s": rates.k_st,
         }
-        validity_superop = radical_pair.reaction_supermatrix(
-            diffusion.to_reaction_model(rates)
-        )
+        model = diffusion.to_reaction_model(rates)
+        if p.tau_c is not None:
+            validity_superop = radical_pair.reaction_supermatrix(model)
     if p.lambda_amp is not None and p.tau_c is not None:
         results["kappa_ST_estimate_per_s"] = diffusion.st_dephasing_rate_estimate(p)
     if p.q_spin is not None:

@@ -142,7 +142,7 @@ def to_reaction_model(rates: RateElements) -> ReactionModel:
 
     Plumbing between the cage picture and the superoperator: kappa_s = k_ss,
     kappa_t = k_tt and kappa_st = 2 k_st - k_ss - k_tt, which reproduces the
-    requested k_st exactly. Requires k_st >= (k_ss + k_tt)/2.
+    requested k_st to rounding. Requires k_st >= (k_ss + k_tt)/2.
     """
     kappa_st = 2.0 * rates.k_st - rates.k_ss - rates.k_tt
     scale = max(abs(rates.k_ss), abs(rates.k_tt), abs(rates.k_st), 1e-300)

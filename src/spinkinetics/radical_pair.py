@@ -51,6 +51,8 @@ _S, _TP, _T0, _TM = 0, 1, 2, 3
 #: the singlet and triplet projectors P_S = |S><S| and P_T = 1 - P_S, read-only
 _P_S = OperatorMatrix(PAIR_BASIS, np.diag([1.0, 0.0, 0.0, 0.0]))
 _P_T = OperatorMatrix(PAIR_BASIS, np.eye(4) - _P_S.entries)
+#: the equal S/T0 superposition the coherence fit starts from
+_ST0 = DensityMatrix.pure(PAIR_BASIS, np.array([1, 0, 1, 0]) / np.sqrt(2))
 
 
 def projectors():
@@ -170,15 +172,9 @@ class RateElements:
 
 
 def rate_elements(m: ReactionModel) -> RateElements:
-    """Read the diagonal rates off K and check triplet-projection independence."""
-    k = np.diagonal(reaction_supermatrix(m).matrix).real
-    at = PAIR_BASIS.vec_index
-    k_tt = [k[at(t, t)] for t in ("T+", "T0", "T-")]
-    k_st = [k[at("S", t)] for t in ("T+", "T0", "T-")]
-    scale = max(abs(v) for v in (k_tt + k_st)) or 1.0
-    if max(k_tt) - min(k_tt) > 1e-12 * scale or max(k_st) - min(k_st) > 1e-12 * scale:
-        raise ValidationError("reaction rates depend on the triplet projection")
-    return RateElements(k_ss=k[at("S", "S")], k_tt=k_tt[0], k_st=k_st[0])
+    """The Liouville-diagonal rates of K, in the closed form of the module docstring."""
+    return RateElements(k_ss=m.kappa_s, k_tt=m.kappa_t,
+                        k_st=0.5 * (m.kappa_s + m.kappa_t + m.kappa_st))
 
 
 @dataclass(frozen=True)
@@ -203,9 +199,8 @@ def coherence_decay_rate(m: ReactionModel, h: PairHamiltonian) -> CoherenceFit:
     expected = rate_elements(m).k_st
     if expected <= 0.0:
         return CoherenceFit(rate=0.0, residual=0.0, exponential=True)
-    rho0 = DensityMatrix.pure(PAIR_BASIS, np.array([1, 0, 1, 0]) / np.sqrt(2))
     times = np.linspace(0.0, 3.0 / expected, 61)
-    prop = propagate(generator(m, h), rho0, times)
+    prop = propagate(generator(m, h), _ST0, times)
     t = prop.times
     mags = np.abs(prop.coherence("S", "T0"))
     keep = mags > 1e-14 * mags.max()

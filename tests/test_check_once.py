@@ -4,7 +4,9 @@ The counts are of calls, not of time: one three-state point measures each
 coupling once (in CouplingOperator), H once per coupling (in
 frequency_decompose) and the initial state once; the radical-pair reaction
 superoperator is built from fixed projectors and measures nothing, and is
-summed on raw arrays, so each build checks one finished matrix.
+summed on raw arrays, so each build checks one finished matrix. A radical-pair
+run builds it three times, once per generator: its rates are read off the
+model, and the validity check builds one more only when it has a tau_c.
 """
 
 import json
@@ -68,20 +70,26 @@ def checked_arrays(monkeypatch):
     return calls
 
 
-def test_one_radical_pair_run_checks_15_arrays(checked_arrays, tmp_path):
-    # 6 reaction superoperators (one each), 3 generators, 3 Hamiltonians,
-    # 2 initial states and the resolvent's integral
-    config = {"scenario": "radical-pair",
-              "parameters": {"variant": "jones_hore", "kappa_s_per_s": 2e9, "kappa_t_per_s": 6e8,
-                             "omega_mean_rad_s": 3e9, "delta_omega_rad_s": 1e9,
-                             "j_exchange_rad_s": 4e8, "initial_state": "superposition_ST0",
-                             "time_grid": {"t_max_s": 5e-9, "n_points": 201},
-                             "compute_yields": True}}
+@pytest.mark.parametrize("tau_c, arrays, supermatrices",
+                         [(None, 11, 6), (1e-13, 12, 7)], ids=["no-tau_c", "tau_c"])
+def test_one_radical_pair_run_checks_each_array_once(checked_arrays, tmp_path, tau_c,
+                                                     arrays, supermatrices):
+    # 3 reaction superoperators and 3 generators (one each for the coherence
+    # fit, the yields and the series), 3 Hamiltonians, 1 initial state and the
+    # resolvent's integral; the validity check adds its own K only with a tau_c
+    params = {"variant": "jones_hore", "kappa_s_per_s": 2e9, "kappa_t_per_s": 6e8,
+              "omega_mean_rad_s": 3e9, "delta_omega_rad_s": 1e9,
+              "j_exchange_rad_s": 4e8, "initial_state": "superposition_ST0",
+              "time_grid": {"t_max_s": 5e-9, "n_points": 201},
+              "compute_yields": True}
+    if tau_c is not None:
+        params["tau_c_s"] = tau_c
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+    path.write_text(json.dumps({"scenario": "radical-pair", "parameters": params}),
+                    encoding="utf-8")
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
-    assert len(checked_arrays) == 15
-    assert checked_arrays.count("supermatrix") == 9
+    assert len(checked_arrays) == arrays
+    assert checked_arrays.count("supermatrix") == supermatrices
 
 
 def test_uncorrelated_bath_leaves_the_callers_couplings_untouched():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinkinetics import cli
+from spinkinetics import cli, radical_pair
 from spinkinetics.cli import (
     EXIT_NUMERICAL,
     EXIT_PARSE,
@@ -225,6 +225,36 @@ class TestRadicalPairScenario:
         cfg = write_config(tmp_path / "cfg.json", self.config(kappa_t_per_s=0.0))
         assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == EXIT_NUMERICAL
         assert json.loads(capsys.readouterr().err.strip())["error"] == "numerical"
+
+
+class TestValidityWithoutTauC:
+    """Without a tau_c the validity block is all None, and no K is built for it."""
+
+    @pytest.mark.parametrize("scenario", ["radical-pair", "radii"])
+    @pytest.mark.parametrize("tau_c", [None, 1e-13], ids=["no-tau_c", "tau_c"])
+    def test_validity_builds_k_only_with_a_tau_c(self, tmp_path, monkeypatch, scenario, tau_c):
+        cli_calls = []
+        build = radical_pair.reaction_supermatrix
+
+        def counted(m):
+            if sys._getframe(1).f_globals["__name__"] == cli.__name__:
+                cli_calls.append(m)
+            return build(m)
+
+        monkeypatch.setattr(radical_pair, "reaction_supermatrix", counted)
+        config = with_params(scenario, tau_c_s=tau_c)
+        if tau_c is None:
+            del config["parameters"]["tau_c_s"]
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        validity = read_summary(tmp_path / "out")["results"]["validity"]
+        if tau_c is None:
+            assert validity == {"ratio": None, "tau_c_s": None, "pass": None,
+                                "strong_pass": None}
+            assert cli_calls == []
+        else:
+            assert validity["pass"] is True
+            assert len(cli_calls) == 1
 
 
 class TestConfigSchema:

@@ -5,6 +5,7 @@ import pytest
 
 from spinkinetics import (
     DiffusionParams,
+    RateElements,
     RegimeError,
     ValidationError,
     cage_rates,
@@ -109,9 +110,16 @@ class TestRateInversion:
         assert readback.k_ss == pytest.approx(rates.k_ss, rel=1e-12)
         assert readback.k_tt == pytest.approx(rates.k_tt, rel=1e-12)
 
-    def test_insufficient_st_rate_rejected(self):
-        from spinkinetics import RateElements
+    def test_round_trip_reproduces_random_rates_to_rounding(self):
+        rng = np.random.default_rng(20)
+        k_ss, k_tt = 10.0 ** rng.uniform(6, 10, (2, 2000))
+        k_st = 0.5 * (k_ss + k_tt) * (1 + 10.0 ** rng.uniform(-6, 2, 2000))
+        for rates in map(RateElements, k_ss, k_tt, k_st):
+            readback = rate_elements(to_reaction_model(rates))
+            assert (readback.k_ss, readback.k_tt) == (rates.k_ss, rates.k_tt)
+            assert abs(readback.k_st - rates.k_st) <= 1e-15 * rates.k_st
 
+    def test_insufficient_st_rate_rejected(self):
         with pytest.raises(ValidationError):
             to_reaction_model(RateElements(k_ss=2.0, k_tt=2.0, k_st=1.0))
 

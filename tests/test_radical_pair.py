@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from _util import hermiticity_defect_sample, random_density, random_state
 
 from spinkinetics import (
@@ -125,6 +127,32 @@ class TestRateElements:
         st = [k[idx(0, t), idx(0, t)].real for t in (1, 2, 3)]
         assert max(tt) - min(tt) < 1e-14
         assert max(st) - min(st) < 1e-14
+
+
+_RATE = st.one_of(st.just(0.0), st.floats(1e-3, 1e12))
+_MODELS = st.one_of(
+    st.builds(ReactionModel.haberkorn, _RATE, _RATE),
+    st.builds(ReactionModel.generalized, _RATE, _RATE, _RATE),
+    st.builds(ReactionModel.jones_hore, _RATE, _RATE),
+    st.builds(ReactionModel.dephasing_only, _RATE),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_MODELS)
+def test_rate_elements_are_the_reaction_superoperators_diagonal(model):
+    k = reaction_supermatrix(model).matrix
+    assert not np.any(k - np.diag(np.diagonal(k)))
+    e = rate_elements(model)
+    names = PAIR_BASIS.names
+    table = np.empty(len(names) ** 2)
+    for a in names:
+        for b in names:
+            singlet = (a == "S", b == "S")
+            table[PAIR_BASIS.vec_index(a, b)] = (
+                e.k_ss if all(singlet) else e.k_st if any(singlet) else e.k_tt
+            )
+    assert np.diagonal(k).tobytes() == table.astype(complex).tobytes()
 
 
 class TestCoherenceDecay:
