@@ -59,6 +59,12 @@ _RADICAL_PAIR = {
         "tau_c_s": 1e-13,
     },
 }
+#: the radical-pair case on a long uniform grid, where step-length rounding shows
+_RADICAL_PAIR_LONG = {
+    "scenario": "radical-pair",
+    "parameters": {**_RADICAL_PAIR["parameters"],
+                   "time_grid": {"t_max_s": 5e-9, "n_points": 2001}},
+}
 _RADII = {
     "scenario": "radii",
     "parameters": {
@@ -91,6 +97,7 @@ CASES = {
     "sweep-workers-2": (["sweep", "--workers", "2"], _SWEEP, "sweep.csv"),
     "radical-pair-csv": (["run", "--format", "csv"], _RADICAL_PAIR, "timeseries.csv"),
     "radical-pair-json": (["run", "--format", "json"], _RADICAL_PAIR, "timeseries.json"),
+    "radical-pair-long": (["run", "--format", "csv"], _RADICAL_PAIR_LONG, "timeseries.csv"),
     "radii": (["run"], _RADII, None),
     "oracle-ou": (["run"], _oracle("ou"), "timeseries.csv"),
     "oracle-dichotomous": (["run"], _oracle("dichotomous"), "timeseries.csv"),
