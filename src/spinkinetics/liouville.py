@@ -37,6 +37,9 @@ DENSITY_TRACE_CEILING = 1.0 + 1e-9
 DENSITY_EIG_FLOOR = -1e-9
 #: eigenvalues of a decaying generator must sit below -DECAY_MARGIN * ||L||
 DECAY_MARGIN = 1e-12
+#: propagation steps whose lengths agree within this relative tolerance share
+#: one matrix exponential
+STEP_RTOL = 1e-12
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -366,16 +369,22 @@ def _validated_times(times) -> np.ndarray:
 def _expm_steps(generator: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """(n_times, len(v0)) array of exp(generator t_k) v0, stepping time to time.
 
-    One matrix exponential per distinct step length (to 15 significant digits).
+    One matrix exponential per step length, within ``STEP_RTOL``: a step
+    reuses the matrix of the last one computed when the two lengths agree
+    within ``STEP_RTOL`` relative, so a ``linspace`` grid, whose steps differ
+    by an ulp, costs one. A zero step (a grid that starts at 0) leaves the
+    vector as it is.
     """
     out = np.empty((times.size, v0.size), dtype=complex)
-    cache: dict[str, np.ndarray] = {}
     v, prev = v0, 0.0
+    step, length = None, 0.0
     for k, tk in enumerate(times):
-        key = f"{tk - prev:.15g}"
-        if key not in cache:
-            cache[key] = expm(generator * (tk - prev))
-        v = out[k] = cache[key] @ v
+        dt = tk - prev
+        if dt != 0.0:
+            if abs(dt - length) > STEP_RTOL * length:
+                step, length = expm(generator * dt), dt
+            v = step @ v
+        out[k] = v
         prev = tk
     return out
 
@@ -389,7 +398,8 @@ def propagate(
     """Solve rho(t) = exp(L t) rho0 on the given time grid.
 
     ``method="expm"`` steps with dense matrix exponentials (scaling and
-    squaring); ``method="rk"`` integrates with an adaptive explicit
+    squaring), one matrix exponential per step length, within ``STEP_RTOL``;
+    ``method="rk"`` integrates with an adaptive explicit
     Runge-Kutta scheme. Both are exposed so they can cross-check each other;
     the matrix exponential is the default for the small systems handled here.
     """

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg import expm
 from scipy.signal import lfilter
 
 from spinkinetics import stochastic
@@ -38,6 +39,22 @@ def hermiticity_defect_sample(superop):
         rhs = superop.apply(a.conj().T)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
+
+
+def reference_expm_steps(generator, v0, times):
+    """exp(generator t_k) v0 stepped time to time, one matrix exponential per
+    step length as printed to 15 significant digits (a zero step included):
+    the stepper that liouville._expm_steps replaced."""
+    out = np.empty((times.size, v0.size), dtype=complex)
+    cache = {}
+    v, prev = v0, 0.0
+    for k, tk in enumerate(times):
+        key = f"{tk - prev:.15g}"
+        if key not in cache:
+            cache[key] = expm(generator * (tk - prev))
+        v = out[k] = cache[key] @ v
+        prev = tk
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ superoperator is built from fixed projectors and measures nothing, and is
 summed on raw arrays, so each build checks one finished matrix. A radical-pair
 run builds it three times, once per generator: its rates are read off the
 model, and the validity check builds one more only when it has a tau_c.
+A propagation on a linspace grid computes one matrix exponential.
 """
 
 import json
 
 import numpy as np
 import pytest
+
+from golden.regen import produce
 
 from spinkinetics import liouville
 from spinkinetics.bloch_redfield import (
@@ -90,6 +93,15 @@ def test_one_radical_pair_run_checks_each_array_once(checked_arrays, tmp_path, t
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
     assert len(checked_arrays) == arrays
     assert checked_arrays.count("supermatrix") == supermatrices
+
+
+@pytest.mark.parametrize("case, calls", [("radical-pair-csv", 2), ("sweep-workers-1", 4)])
+def test_each_propagation_on_a_linspace_computes_one_exponential(expm_calls, tmp_path,
+                                                                 case, calls):
+    # the radical-pair run propagates for the coherence fit and the series;
+    # the serial sweep once per point of its 2 x 2 grid
+    produce(case, tmp_path)
+    assert len(expm_calls) == calls
 
 
 def test_uncorrelated_bath_leaves_the_callers_couplings_untouched():

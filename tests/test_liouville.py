@@ -2,7 +2,12 @@ import re
 
 import numpy as np
 import pytest
-from _util import hermiticity_defect_sample, random_density, random_hermitian
+from _util import (
+    hermiticity_defect_sample,
+    random_density,
+    random_hermitian,
+    reference_expm_steps,
+)
 from scipy.linalg import expm
 
 from spinkinetics import (
@@ -28,7 +33,7 @@ from spinkinetics import (
     sandwich_super,
     validity_check,
 )
-from spinkinetics.liouville import _sandwich, vectorize
+from spinkinetics.liouville import STEP_RTOL, _expm_steps, _sandwich, vectorize
 
 B3 = BasisLabel(("0", "1", "2"))
 B4 = BasisLabel(("a", "b", "c", "d"))
@@ -243,6 +248,59 @@ class TestPropagate:
             propagate(gen, rho0, [-0.1, 0.2])
         with pytest.raises(ValidationError):
             propagate(gen, rho0, [0.1], method="simpson")
+
+
+def _decaying_generator(n, seed):
+    """Raw rad/s generator on n levels (a random Lindblad one shifted to decay)
+    and a random vectorised density matrix."""
+    rng = np.random.default_rng(seed)
+    lindblad = _random_lindblad_generator(rng, BasisLabel(tuple(str(i) for i in range(n))))
+    g = 1e9 * (lindblad.matrix - 0.2 * lindblad.norm() * np.eye(n * n))
+    return g, random_density(n, rng).reshape(-1)
+
+
+class TestStepMatrices:
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_one_matrix_per_grid_agrees_with_step_by_step_expm(self, n):
+        g, v0 = _decaying_generator(n, seed=20 + n)
+        t_max = 10.0 / np.linalg.norm(g)
+        # steps alternating 1e-9 apart, far beyond STEP_RTOL, need their own matrices
+        alternating = np.cumsum(np.resize([t_max / 40, t_max / 40 * (1.0 + 1e-9)], 40))
+        for times in (np.linspace(0.0, t_max, 201), np.linspace(0.0, 5 * t_max, 2001)[1:],
+                      alternating):
+            # the steps differ in the 15th digit or earlier, so the reference
+            # computes several matrices
+            assert len({f"{dt:.15g}" for dt in np.diff(times)}) > 1
+            got = _expm_steps(g, v0, times)
+            want = reference_expm_steps(g, v0, times)
+            rel = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+            assert rel.max() <= 1e-12
+
+    def test_a_grid_from_zero_costs_one_exponential(self, expm_calls):
+        rng = np.random.default_rng(3)
+        gen = _random_lindblad_generator(rng, B3)
+        rho0 = DensityMatrix(B3, random_density(3, rng))
+        prop = propagate(gen, rho0, np.linspace(0.0, 5.0 / gen.norm(), 201))
+        assert len(expm_calls) == 1
+        # the zero first step leaves the state as it is
+        assert np.array_equal(prop.states[0], rho0.entries)
+
+    def test_a_grid_without_zero_costs_one_exponential(self, expm_calls):
+        g, v0 = _decaying_generator(3, seed=4)
+        _expm_steps(g, v0, np.linspace(0.0, 1e-8, 201)[1:])
+        assert len(expm_calls) == 1
+
+    def test_a_geometric_grid_costs_one_exponential_per_step(self, expm_calls):
+        g, v0 = _decaying_generator(3, seed=5)
+        _expm_steps(g, v0, np.geomspace(1e-12, 1e-8, 40))
+        assert len(expm_calls) == 40
+
+    @pytest.mark.parametrize("shift, matrices", [(0.1, 1), (10.0, 2)])
+    def test_steps_share_a_matrix_only_within_the_tolerance(self, expm_calls, shift, matrices):
+        g, v0 = _decaying_generator(2, seed=6)
+        dt = 1e-10
+        _expm_steps(g, v0, np.array([dt, dt + dt * (1.0 + shift * STEP_RTOL)]))
+        assert len(expm_calls) == matrices
 
 
 def _out_of_regime_redfield(seed=0):
