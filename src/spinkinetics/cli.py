@@ -31,6 +31,7 @@ import numpy as np
 
 from . import bloch_redfield as br
 from . import diffusion, radical_pair, stochastic, three_state
+from ._blas import threads as _blas_threads
 from .errors import (
     NumericalError,
     RegimeError,
@@ -740,44 +741,6 @@ def _sweep_worker(task):
     except SpinKineticsError as exc:  # same class, so the same exit code
         raise type(exc)(f"grid point {point}: {exc}") from None
     return results
-
-
-_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-                     "openblas_{}_num_threads64_", "openblas_{}_num_threads")
-
-
-def _blas_threads(count=None) -> dict:
-    """Each loaded OpenBLAS copy's thread count, by library path, before setting it.
-
-    ``count`` is one count for every copy, a dict as returned (to restore
-    them), or None to only read. numpy and scipy each bundle a copy; they are
-    found in /proc/self/maps. Where no copy or no thread symbol is found this
-    does nothing and returns {}.
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
-        return {}
-    counts = {}
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_SYMBOLS:
-            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                counts[path] = get()
-                target = count.get(path) if isinstance(count, dict) else count
-                if target is not None:
-                    put(target)
-                break
-    return counts
 
 
 def cmd_sweep(args) -> int:

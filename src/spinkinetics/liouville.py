@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg import solve as linear_solve
 
+from ._blas import one_thread
+from ._expm import expm
 from .errors import (
     DimensionMismatchError,
     NonDecayingGeneratorError,
@@ -213,8 +213,9 @@ class Superoperator:
         return unvectorize(self.matrix @ vectorize(rho), self.dim)
 
     def norm(self) -> float:
-        """Spectral norm, in s^-1."""
-        return float(np.linalg.norm(self.matrix, 2))
+        """Spectral norm, in s^-1, from an SVD on one BLAS thread."""
+        with one_thread(self.matrix.shape[0]):
+            return float(np.linalg.norm(self.matrix, 2))
 
     def __add__(self, other):
         _check_same_basis(self, other, "add")
@@ -389,43 +390,18 @@ def _expm_steps(generator: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.
     return out
 
 
-def propagate(
-    l: Superoperator,
-    rho0: DensityMatrix,
-    times: Iterable[float],
-    method: str = "expm",
-) -> Propagation:
+def propagate(l: Superoperator, rho0: DensityMatrix, times: Iterable[float]) -> Propagation:
     """Solve rho(t) = exp(L t) rho0 on the given time grid.
 
-    ``method="expm"`` steps with dense matrix exponentials (scaling and
-    squaring), one matrix exponential per step length, within ``STEP_RTOL``;
-    ``method="rk"`` integrates with an adaptive explicit
-    Runge-Kutta scheme. Both are exposed so they can cross-check each other;
-    the matrix exponential is the default for the small systems handled here.
+    Steps with dense matrix exponentials (scaling and squaring), one matrix
+    exponential per step length, within ``STEP_RTOL``.
     """
     _check_same_basis(l, rho0, "propagate")
     t = _validated_times(times)
     n = l.dim
-    if method == "expm":
+    with one_thread(n * n):
         vectors = _expm_steps(l.matrix, vectorize(rho0.entries), t)
-        return Propagation(l.basis, t, _density_stack(vectors.reshape(t.size, n, n), t))
-    if method == "rk":
-        from scipy.integrate import solve_ivp  # imported here: only this branch needs it
-
-        m = l.matrix
-        sol = solve_ivp(
-            lambda _t, y: m @ y,
-            (0.0, float(t[-1])),
-            vectorize(rho0.entries),
-            t_eval=t,
-            method="DOP853",
-            rtol=1e-10,
-            atol=1e-12,
-        )
-        if not sol.success:
-            raise NumericalError(f"Runge-Kutta integration failed: {sol.message}")
-        return Propagation(l.basis, t, _density_stack(sol.y.T.reshape(t.size, n, n), t))
-    raise ValidationError(f"unknown propagation method {method!r}")
+    return Propagation(l.basis, t, _density_stack(vectors.reshape(t.size, n, n), t))
 
 
 def infinite_time_integral(l: Superoperator, rho0: DensityMatrix) -> OperatorMatrix:
@@ -436,13 +412,14 @@ def infinite_time_integral(l: Superoperator, rho0: DensityMatrix) -> OperatorMat
     unreactive population that never mixes).
     """
     _check_same_basis(l, rho0, "infinite_time_integral")
-    norm = l.norm()
-    eigs = np.linalg.eigvals(l.matrix)
-    if norm == 0.0 or eigs.real.max() >= -DECAY_MARGIN * norm:
-        raise NonDecayingGeneratorError(
-            "generator has non-decaying modes "
-            f"(max Re eigenvalue {eigs.real.max():.3e} vs norm {norm:.3e})"
-        )
-    x = linear_solve(-l.matrix, vectorize(rho0.entries))
+    with one_thread(l.matrix.shape[0]):
+        norm = l.norm()
+        eigs = np.linalg.eigvals(l.matrix)
+        if norm == 0.0 or eigs.real.max() >= -DECAY_MARGIN * norm:
+            raise NonDecayingGeneratorError(
+                "generator has non-decaying modes "
+                f"(max Re eigenvalue {eigs.real.max():.3e} vs norm {norm:.3e})"
+            )
+        x = np.linalg.solve(-l.matrix, vectorize(rho0.entries))
     xm = unvectorize(x, l.dim)
     return OperatorMatrix(l.basis, 0.5 * (xm + xm.conj().T))

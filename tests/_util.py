@@ -3,11 +3,11 @@
 import math
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import expm
+from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.linalg import expm as reference_expm
 from scipy.signal import lfilter
 
-from spinkinetics import stochastic
+from spinkinetics import NumericalError, liouville, stochastic
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -51,10 +51,31 @@ def reference_expm_steps(generator, v0, times):
     for k, tk in enumerate(times):
         key = f"{tk - prev:.15g}"
         if key not in cache:
-            cache[key] = expm(generator * (tk - prev))
+            cache[key] = reference_expm(generator * (tk - prev))
         v = out[k] = cache[key] @ v
         prev = tk
     return out
+
+
+def reference_rk_propagate(l, rho0, times):
+    """liouville.propagate by adaptive explicit Runge-Kutta (DOP853) instead of
+    matrix exponentials, ending in the same batched state check."""
+    t = liouville._validated_times(times)
+    n = l.dim
+    m = l.matrix
+    sol = solve_ivp(
+        lambda _t, y: m @ y,
+        (0.0, float(t[-1])),
+        liouville.vectorize(rho0.entries),
+        t_eval=t,
+        method="DOP853",
+        rtol=1e-10,
+        atol=1e-12,
+    )
+    if not sol.success:
+        raise NumericalError(f"Runge-Kutta integration failed: {sol.message}")
+    states = liouville._density_stack(sol.y.T.reshape(t.size, n, n), t)
+    return liouville.Propagation(l.basis, t, states)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Each case is one ``spinkinetics`` CLI call at seed 1. Its compared files are
 the series or sweep file, byte for byte, and the summary's ``results`` block
 (as ``results.json``); the summary's ``wall_time_s`` is a timing and its
 ``inputs.output.dir`` a path, so neither is kept. ``versions.json`` records
-the numpy and scipy that wrote the files.
+the numpy that wrote the files.
 
 Rewrite every file after a change that moves output bytes on purpose:
 
@@ -24,7 +24,6 @@ from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from spinkinetics.cli import main
 
@@ -105,7 +104,7 @@ CASES = {
 
 
 def versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    return {"numpy": np.__version__}
 
 
 def produce(case: str, work: Path) -> dict:

@@ -171,6 +171,21 @@ class TestThreeStateScenario:
         summary = read_summary(tmp_path / "out")
         assert summary["results"]["rates"]["w11_per_s"] == 1.0
 
+    # level * t_max overflows the step's 1-norm to inf; 1e90 leaves it finite
+    # (1e290) but overflows its powers
+    @pytest.mark.parametrize("t_max", [1e200, 1e90])
+    def test_a_step_with_a_non_finite_norm_exits_numerical(self, tmp_path, capsys, t_max):
+        config = self.config()
+        config["parameters"]["spectral_density"]["level_rad2_per_s"] = 1e200
+        config["parameters"]["time_grid"] = {"t_max_s": t_max, "n_points": 3}
+        cfg = write_config(tmp_path / "cfg.json", config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", cfg, "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "numerical"
+        assert "matrix exponential" in err["message"]
+
     def test_json_series_format(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", self.config())
         assert main(["run", cfg, "--out-dir", str(tmp_path / "out"), "--format", "json"]) == 0
@@ -660,14 +675,33 @@ class TestOutputDir:
         assert calls == []
 
 
-def test_cli_import_leaves_scipy_signal_and_integrate_unloaded():
+def test_runtime_loads_no_scipy(tmp_path):
+    """No scipy module after import, nor after a radical-pair run and a serial
+    three-state sweep, so a lazy import shows too."""
+    rp = write_config(tmp_path / "rp.json", VALID["radical-pair"])
+    sweep = dict(VALID["three-state"], grid={"omega_s_rad_s": [5e8, 2e9]})
+    ts = write_config(tmp_path / "ts.json", sweep)
+    code = f"""
+import contextlib, io, sys
+import spinkinetics.cli as cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["run", {rp!r}, "--out-dir", {str(tmp_path / "rp")!r}]) == 0
+    seen.append(loaded())
+    assert cli.main(["sweep", {ts!r}, "--out-dir", {str(tmp_path / "ts")!r},
+                     "--workers", "1"]) == 0
+    seen.append(loaded())
+print(seen)
+"""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, spinkinetics.cli; "
-            "print(sorted({'scipy.signal', 'scipy.integrate'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[[], [], []]"
 
 
 class TestFlags:
