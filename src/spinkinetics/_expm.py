@@ -79,34 +79,37 @@ def expm(a) -> np.ndarray:
         log2_alpha = 2 * m * (math.log2(norm) - s) + math.log2(top) - math.log2(_C_RECIP[m])
         return max(math.ceil((log2_alpha - _LOG2_U) / (2 * m)), 0)
 
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    d6 = _norm1(a6) ** (1 / 6)
-    eta1 = max(_norm1(a4) ** 0.25, d6)
-    a8 = None
-    s = 0
-    if eta1 <= _THETA[3] and ell(3) == 0:
-        m = 3
-    elif eta1 <= _THETA[5] and ell(5) == 0:
-        m = 5
-    else:
-        a8 = a4 @ a4
-        d8 = _norm1(a8) ** 0.125
-        eta3 = max(d6, d8)
-        if eta3 <= _THETA[7] and ell(7) == 0:
-            m = 7
-        elif eta3 <= _THETA[9] and ell(9) == 0:
-            m = 9
+    # an overflowing power shows as a non-finite 1-norm, which the degree tests
+    # below read, so the products warn nothing of their own
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        d6 = _norm1(a6) ** (1 / 6)
+        eta1 = max(_norm1(a4) ** 0.25, d6)
+        a8 = None
+        s = 0
+        if eta1 <= _THETA[3] and ell(3) == 0:
+            m = 3
+        elif eta1 <= _THETA[5] and ell(5) == 0:
+            m = 5
         else:
-            m = 13
-            eta5 = min(eta3, max(d8, _norm1(a4 @ a6) ** 0.1))
-            if not math.isfinite(eta5):
-                raise NumericalError("matrix exponential: a power of a matrix with 1-norm "
-                                     f"{norm:.6g} has a non-finite 1-norm")
-            if eta5 > 0.0:
-                s = max(math.ceil(math.log2(eta5 / _THETA[13])), 0)
-            s += ell(13, s)
+            a8 = a4 @ a4
+            d8 = _norm1(a8) ** 0.125
+            eta3 = max(d6, d8)
+            if eta3 <= _THETA[7] and ell(7) == 0:
+                m = 7
+            elif eta3 <= _THETA[9] and ell(9) == 0:
+                m = 9
+            else:
+                m = 13
+                eta5 = min(eta3, max(d8, _norm1(a4 @ a6) ** 0.1))
+                if not math.isfinite(eta5):
+                    raise NumericalError("matrix exponential: a power of a matrix with 1-norm "
+                                         f"{norm:.6g} has a non-finite 1-norm")
+                if eta5 > 0.0:
+                    s = max(math.ceil(math.log2(eta5 / _THETA[13])), 0)
+                s += ell(13, s)
 
     ident = np.eye(a.shape[0], dtype=a.dtype)
     b = _B[m]

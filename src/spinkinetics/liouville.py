@@ -383,7 +383,10 @@ def _expm_steps(generator: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.
         dt = tk - prev
         if dt != 0.0:
             if abs(dt - length) > STEP_RTOL * length:
-                step, length = expm(generator * dt), dt
+                # an overflow leaves a non-finite 1-norm, which expm rejects
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scaled = generator * dt
+                step, length = expm(scaled), dt
             v = step @ v
         out[k] = v
         prev = tk

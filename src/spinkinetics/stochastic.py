@@ -42,8 +42,11 @@ from .three_state import SX, THREE_STATE_BASIS, hamiltonian
 
 #: fixed chunk size so that seeding is independent of ensemble size and host
 CHUNK = 2048
-#: time rows stepped between reductions; sets the working set, not the result
-STEP_ROWS = 64
+#: time rows stepped between reductions; sets the working set, not the result.
+#: Sized for a 2 MiB per-core L2: over CHUNK paths, one block's arrays (amp, e,
+#: g, sq and the trapezoid temporaries) peak at 1.85 MiB at 8 rows, against
+#: 27 MiB at 64 rows, which spill to memory; 4 and 16 rows ran no faster
+STEP_ROWS = 8
 #: hard ceiling on T * sqrt(<v^2>) for the second-order window
 PERTURBATIVE_WINDOW_LIMIT = 0.5
 #: trajectory batches behind the bootstrap, and its resample count
@@ -246,11 +249,30 @@ def _step_rotations(w: np.ndarray, half: float, dt: float):
     vbar = 0.5 * (w[:-1] + w[1:])
     r = np.sqrt(half * half + vbar * vbar)
     phi = r * dt
-    sinc = np.where(r > 0, np.sin(phi) / np.where(r > 0, r, 1.0), dt)
+    if half * half > 0:  # then r > 0 everywhere
+        sinc = np.sin(phi) / r
+    else:
+        sinc = np.where(r > 0, np.sin(phi) / np.where(r > 0, r, 1.0), dt)
     e = np.empty((vbar.shape[0], 2, vbar.shape[1]), dtype=complex)
-    e.real = np.cos(phi)[:, None]
-    e.imag = (sinc * half)[:, None] * np.array([-1.0, 1.0])[:, None]
+    np.cos(phi, out=e.real[:, 0])
+    e.real[:, 1] = e.real[:, 0]
+    np.multiply(sinc, half, out=e.imag[:, 1])
+    np.negative(e.imag[:, 1], out=e.imag[:, 0])
+    del r, phi  # freed before g is built, for the block's working set
     return e, -1j * (sinc * vbar)
+
+
+def _add_trapezoid(w: np.ndarray, phase: np.ndarray, inner: np.ndarray, v_inner: np.ndarray):
+    """Add per row of ``w[1:]`` the path sum of v inner into ``v_inner``, inner the
+    cumulative trapezoid of v phase (in units of dt / 2) carried in from ``inner``.
+    Returns the carry for the next block."""
+    y = w * phase[:, None]
+    steps = y[1:] + y[:-1]
+    steps[0] += inner
+    for j in range(1, steps.shape[0]):  # row by row: faster than cumsum across rows
+        steps[j] += steps[j - 1]
+    v_inner += np.einsum("kj,kj->k", w[1:], steps)
+    return steps[-1].copy()
 
 
 def _add_chunk(vt: np.ndarray, omega_s: float, dt: float, phase, batch, v_inner, sum_a1, sum_sq):
@@ -258,7 +280,11 @@ def _add_chunk(vt: np.ndarray, omega_s: float, dt: float, phase, batch, v_inner,
     (a1, a2) = (1/sqrt 2, 0). Adds per time the path sum of v inner (the cumulative
     trapezoid of v phase, in units of dt / 2) into ``v_inner``, and the sums of a1
     and (|a1|^2, |a2|^2) over each batch of paths into ``sum_a1`` and ``sum_sq``.
-    Returns the largest | |a1|^2 + |a2|^2 + 1/2 - 1 |."""
+    Returns the largest | |a1|^2 + |a2|^2 + 1/2 - 1 |.
+
+    The block size sets the working set, not the result: every sum runs per time
+    row or per batch of paths, and the trapezoid carry adds row by row across
+    block boundaries, so any STEP_ROWS gives the same bits."""
     n_times, n = vt.shape
     starts = np.flatnonzero(np.diff(batch, prepend=-1))
     cols = batch[starts]
@@ -269,24 +295,20 @@ def _add_chunk(vt: np.ndarray, omega_s: float, dt: float, phase, batch, v_inner,
     for k0 in range(0, n_times - 1, STEP_ROWS):
         w = vt[k0 : k0 + STEP_ROWS + 1]
         m = w.shape[0] - 1
+        inner = _add_trapezoid(w, phase[k0 : k0 + m + 1], inner, v_inner[k0 + 1 : k0 + m + 1])
         e, g = _step_rotations(w, 0.5 * omega_s, dt)
         for j in range(m):
             np.multiply(g[j], amp[j, ::-1], out=amp[j + 1])
             amp[j + 1] += e[j] * amp[j]
+        del e, g  # freed before sq is built
         lo = 1 if k0 else 0  # the first block also sums time 0
         rows = slice(k0 + lo, k0 + m + 1)
         sq = np.abs(amp[lo : m + 1]) ** 2
         norm_defect = max(norm_defect, float(np.abs(sq[:, 0] + sq[:, 1] + 0.5 - 1.0).max()))
         sum_a1[rows][:, cols] += np.add.reduceat(amp[lo : m + 1, 0], starts, axis=1)
         sum_sq[rows][:, :, cols] += np.add.reduceat(sq, starts, axis=2)
+        del sq  # freed before the next block's arrays are built
         amp[0] = amp[m]
-        y = w * phase[k0 : k0 + m + 1, None]
-        steps = y[1:] + y[:-1]
-        steps[0] += inner
-        for j in range(1, m):  # row by row: faster than cumsum across rows
-            steps[j] += steps[j - 1]
-        inner = steps[-1]
-        v_inner[k0 + 1 : k0 + m + 1] += np.einsum("kj,kj->k", w[1:], steps)
     return norm_defect
 
 

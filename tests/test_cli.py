@@ -186,6 +186,21 @@ class TestThreeStateScenario:
         assert err["error"] == "numerical"
         assert "matrix exponential" in err["message"]
 
+    @pytest.mark.parametrize("t_max", [1e200, 1e90])
+    def test_a_numerical_failure_writes_one_json_line_to_stderr(self, tmp_path, t_max):
+        config = self.config()
+        config["parameters"]["spectral_density"]["level_rad2_per_s"] = 1e200
+        config["parameters"]["time_grid"] = {"t_max_s": t_max, "n_points": 3}
+        cfg = write_config(tmp_path / "cfg.json", config)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        command = ["run", cfg, "--out-dir", str(tmp_path / "out")]
+        proc = subprocess.run([sys.executable, "-m", "spinkinetics.cli", *command],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_NUMERICAL
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "numerical"
+
     def test_json_series_format(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", self.config())
         assert main(["run", cfg, "--out-dir", str(tmp_path / "out"), "--format", "json"]) == 0

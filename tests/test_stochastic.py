@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from spinkinetics import (
     perturbative_amplitudes,
     simulate_noise,
 )
-from spinkinetics.stochastic import CHUNK, _noise_chunk
+from spinkinetics import stochastic
+from spinkinetics.stochastic import CHUNK, _add_chunk, _noise_chunk
 
 from _util import (
     reference_correlation,
@@ -168,6 +170,48 @@ class TestAmplitudeEnsembles:
         b = perturbative_amplitudes(ou(seed=15), 0.0, 40 * TAU, n_traj=256)
         assert np.array_equal(a.rho11, b.rho11)
         assert np.array_equal(a.delta_a_mean, b.delta_a_mean)
+
+
+class TestBlockSize:
+    """STEP_ROWS sets the working set of the amplitude stepping, never a result bit."""
+
+    #: the per-core L2 that the STEP_ROWS comment sizes a block for
+    L2_BUDGET = 2 * 2**20
+
+    @pytest.mark.parametrize("make", [ou, dichotomous], ids=["ou", "dichotomous"])
+    @pytest.mark.parametrize("omega_s", [1.0 / TAU, 0.0], ids=["detuned", "resonant"])
+    def test_every_block_size_gives_the_same_bits(self, monkeypatch, make, omega_s):
+        # CHUNK + 452 paths: one batch straddles the chunk boundary; 400 steps
+        # end every block size below on a partial block
+        runs = []
+        for rows in (1, 7, stochastic.STEP_ROWS, 64):
+            monkeypatch.setattr(stochastic, "STEP_ROWS", rows)
+            runs.append(perturbative_amplitudes(make(seed=34), omega_s, 20 * TAU, CHUNK + 452,
+                                                omega0=0.35 / TAU))
+        for run in runs[1:]:
+            for name in ("delta_a_mean", "rho11", "rho01", "leak", "batch_mean_a1",
+                         "batch_mean_abs_a1_sq", "norm_defect"):
+                got, expected = np.asarray(getattr(run, name)), np.asarray(getattr(runs[0], name))
+                assert got.tobytes() == expected.tobytes(), name
+
+    def test_a_chunk_steps_within_the_l2_budget(self):
+        p = ou(seed=35)
+        n_traj, n_batches = 10000, stochastic.N_BATCHES
+        vt = _noise_chunk(p, 1200, CHUNK, 0, 0)
+        phase = np.exp(-1j / TAU * np.arange(1201) * p.dt)
+        batch = ((np.arange(n_traj) * n_batches) // n_traj)[:CHUNK]
+        v_inner = np.zeros(1201, dtype=complex)
+        sum_a1 = np.zeros((1201, n_batches), dtype=complex)
+        sum_sq = np.zeros((1201, 2, n_batches))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _add_chunk(vt, 1.0 / TAU, p.dt, phase, batch, v_inner, sum_a1, sum_sq)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.L2_BUDGET, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestRateExtraction:
