@@ -42,11 +42,14 @@ from .three_state import SX, THREE_STATE_BASIS, hamiltonian
 
 #: fixed chunk size so that seeding is independent of ensemble size and host
 CHUNK = 2048
-#: time rows stepped between reductions; sets the working set, not the result.
-#: Sized for a 2 MiB per-core L2: over CHUNK paths, one block's arrays (amp, e,
-#: g, sq and the trapezoid temporaries) peak at 1.85 MiB at 8 rows, against
-#: 27 MiB at 64 rows, which spill to memory; 4 and 16 rows ran no faster
+#: time rows per noise block and between reductions; sets the working set, not
+#: the result. Sized for a 2 MiB per-core L2: over CHUNK paths, one block's
+#: arrays (the noise block, amp, e, g, sq and the trapezoid temporaries) peak at
+#: 1.74 MiB at 8 rows, against 27 MiB at 64 rows, which spill to memory; 4 and
+#: 16 rows ran no faster
 STEP_ROWS = 8
+#: bytes of path-major scratch per path slice, when drawing noise or taking its FFT
+SLICE_BYTES = 2**19
 #: hard ceiling on T * sqrt(<v^2>) for the second-order window
 PERTURBATIVE_WINDOW_LIMIT = 0.5
 #: trajectory batches behind the bootstrap, and its resample count
@@ -88,37 +91,60 @@ class NoiseProcess:
         object.__setattr__(self, "dt", float(dt))
 
 
-def _ou_chunk(p: NoiseProcess, n_steps: int, n_paths: int, rng) -> np.ndarray:
-    """Time-major (n_steps + 1, n_paths) paths by the exact update
-    v[k + 1] = decay * v[k] + kick[k] (Gillespie, Phys. Rev. E 54, 2084 (1996))."""
-    sigma = math.sqrt(p.variance)
-    decay = math.exp(-p.dt / p.tau_c)
-    v = np.empty((n_steps + 1, n_paths))
-    v[0] = sigma * rng.standard_normal(n_paths)
-    kicks = v[1:].T  # drawn (n_paths, n_steps): the draw order fixes the seeded values
-    kicks[:] = rng.standard_normal((n_paths, n_steps))
-    kicks *= sigma * math.sqrt(1.0 - decay * decay)
-    for k in range(n_steps):
-        v[k + 1] += decay * v[k]
-    return v
+def _draw_chunk(p: NoiseProcess, out: np.ndarray, stream: int, index: int):
+    """Draw one chunk into the path-major ``out`` of shape (n_paths, n_steps + 1).
 
-
-def _dichotomous_chunk(p: NoiseProcess, n_steps: int, n_paths: int, rng) -> np.ndarray:
-    """Time-major (n_steps + 1, n_paths) telegraph paths of amplitude sqrt(variance)."""
-    # flip rate 1/(2 tau_c) gives exp(-t/tau_c) correlation; a step flips the
-    # sign when it holds an odd number of flips, with probability q
-    q = 0.5 * -math.expm1(-p.dt / p.tau_c)
-    signs = np.empty((n_steps + 1, n_paths))
-    signs[0] = rng.integers(0, 2, n_paths) * 2 - 1
-    signs[1:].T[:] = np.where(rng.random((n_paths, n_steps)) < q, -1.0, 1.0)
-    return math.sqrt(p.variance) * np.cumprod(signs, axis=0)
-
-
-def _noise_chunk(p: NoiseProcess, n_steps: int, n_paths: int, stream: int, index: int):
+    Column 0 is the stationary start v(0); the other columns are the scaled
+    Ornstein-Uhlenbeck kicks, or the +-1 telegraph flips. The kicks and flips
+    are drawn in path slices: the random generator fills path after path, so slices
+    give the same bytes as one (n_paths, n_steps) draw. ``_noise_blocks`` turns
+    the draws into paths."""
     rng = np.random.default_rng(np.random.SeedSequence((p.seed, stream, index)))
+    sigma = math.sqrt(p.variance)
+    n_paths, n_steps = out.shape[0], out.shape[1] - 1
     if p.kind is NoiseKind.ORNSTEIN_UHLENBECK:
-        return _ou_chunk(p, n_steps, n_paths, rng)
-    return _dichotomous_chunk(p, n_steps, n_paths, rng)
+        out[:, 0] = sigma * rng.standard_normal(n_paths)
+        decay = math.exp(-p.dt / p.tau_c)
+        scale = sigma * math.sqrt(1.0 - decay * decay)
+        for rows in _path_slices(n_paths, 8 * n_steps):
+            np.multiply(rng.standard_normal((rows.stop - rows.start, n_steps)), scale,
+                        out=out[rows, 1:])
+    else:
+        # flip rate 1/(2 tau_c) gives exp(-t/tau_c) correlation; a step flips the
+        # sign when it holds an odd number of flips, with probability q
+        q = 0.5 * -math.expm1(-p.dt / p.tau_c)
+        out[:, 0] = sigma * (rng.integers(0, 2, n_paths) * 2 - 1)
+        for rows in _path_slices(n_paths, 8 * n_steps):
+            out[rows, 1:] = np.where(rng.random((rows.stop - rows.start, n_steps)) < q, -1.0, 1.0)
+
+
+def _noise_blocks(p: NoiseProcess, draws: np.ndarray):
+    """Yield (k0, w), w[j, i] = v_i(t_{k0 + j}) for j = 0..m and m <= STEP_ROWS,
+    from the path-major ``draws`` of ``_draw_chunk``: time-major blocks that
+    overlap by one row. The exact update carries across blocks, for
+    Ornstein-Uhlenbeck paths v[k + 1] = kick[k] + decay v[k] (Gillespie,
+    Phys. Rev. E 54, 2084 (1996)) and for telegraph paths v[k + 1] = flip[k] v[k].
+    One buffer holds every block: use each before asking for the next."""
+    n_paths, n_times = draws.shape
+    ou = p.kind is NoiseKind.ORNSTEIN_UHLENBECK
+    decay = math.exp(-p.dt / p.tau_c)
+    buf = np.empty((STEP_ROWS + 1, n_paths))
+    buf[0] = draws[:, 0]
+    for k0 in range(0, n_times - 1, STEP_ROWS):
+        w = buf[: min(STEP_ROWS, n_times - 1 - k0) + 1]
+        w[1:] = draws[:, k0 + 1 : k0 + w.shape[0]].T
+        for j in range(w.shape[0] - 1):
+            if ou:
+                w[j + 1] += decay * w[j]
+            else:
+                w[j + 1] *= w[j]
+        yield k0, w
+        buf[0] = w[-1]
+
+
+def _path_slices(n_paths: int, row_bytes: int):
+    step = max(1, SLICE_BYTES // row_bytes)
+    return [slice(start, min(start + step, n_paths)) for start in range(0, n_paths, step)]
 
 
 def _chunk_sizes(n_paths: int):
@@ -145,7 +171,9 @@ def simulate_noise(
 
     ``duration`` must exceed ten correlation times so that time averages are
     meaningful. ``stream`` separates independent sub-ensembles drawn from the
-    same seed (e.g. spectrum estimation vs. amplitude runs).
+    same seed (e.g. spectrum estimation vs. amplitude runs). Each chunk is
+    drawn straight into ``values`` and its paths written back in place, block
+    by block, so no second path-sized array is made.
     """
     if duration <= 10.0 * p.tau_c:
         raise ValidationError("duration must exceed 10 correlation times")
@@ -154,7 +182,10 @@ def simulate_noise(
     n_steps = int(math.ceil(duration / p.dt - 1e-9))
     values = np.empty((n_paths, n_steps + 1))
     for i, size in enumerate(_chunk_sizes(n_paths)):
-        values[i * CHUNK : i * CHUNK + size] = _noise_chunk(p, n_steps, size, stream, i).T
+        chunk = values[i * CHUNK : i * CHUNK + size]
+        _draw_chunk(p, chunk, stream, i)
+        for k0, w in _noise_blocks(p, chunk):
+            chunk[:, k0 + 1 : k0 + w.shape[0]] = w[1:].T
     return NoisePaths(p, np.arange(n_steps + 1) * p.dt, values)
 
 
@@ -199,8 +230,10 @@ def correlation_spectrum(paths: NoisePaths) -> CorrelationSpectrum:
     Needs at least 1000 paths for a stable spectral estimate. Lags run to ten
     correlation times and the cosine transform uses a rectangular window over
     that range. K at each lag is the sum of v(s) v(s + lag) over paths and
-    origins, taken from the zero-padded FFT power spectrum (Wiener-Khinchin)
-    of CHUNK paths at a time, divided by its overlap count n_paths (n - lag).
+    origins, taken from the zero-padded FFT power spectrum (Wiener-Khinchin),
+    divided by its overlap count n_paths (n - lag). The FFT runs on path slices;
+    within each CHUNK of paths the power adds path after path, the order of one
+    einsum over the chunk, so the slice size moves no bit.
     """
     if paths.n_paths < MIN_SPECTRUM_PATHS:
         raise ValidationError(
@@ -215,9 +248,15 @@ def correlation_spectrum(paths: NoisePaths) -> CorrelationSpectrum:
     size = 1 << (n + n_lags - 1).bit_length()
     power = np.zeros(size // 2 + 1)
     for start in range(0, paths.n_paths, CHUNK):
-        f = np.fft.rfft(paths.values[start : start + CHUNK], n=size, axis=1)
-        parts = f.view(float).reshape(f.shape + (2,))
-        power += np.einsum("ijk,ijk->j", parts, parts)
+        chunk = paths.values[start : start + CHUNK]
+        part = np.zeros_like(power)
+        for rows in _path_slices(chunk.shape[0], 16 * power.size):
+            f = np.fft.rfft(chunk[rows], n=size, axis=1)
+            q = f.real * f.real
+            q += f.imag * f.imag
+            q[0] += part
+            part = q.sum(axis=0)
+        power += part
     lagged = np.fft.irfft(power, n=size)[: n_lags + 1]
     return CorrelationSpectrum(
         process=p,
@@ -253,13 +292,16 @@ def _step_rotations(w: np.ndarray, half: float, dt: float):
         sinc = np.sin(phi) / r
     else:
         sinc = np.where(r > 0, np.sin(phi) / np.where(r > 0, r, 1.0), dt)
+    del r  # each temporary is freed once used, for the block's working set
     e = np.empty((vbar.shape[0], 2, vbar.shape[1]), dtype=complex)
     np.cos(phi, out=e.real[:, 0])
+    del phi
     e.real[:, 1] = e.real[:, 0]
     np.multiply(sinc, half, out=e.imag[:, 1])
     np.negative(e.imag[:, 1], out=e.imag[:, 0])
-    del r, phi  # freed before g is built, for the block's working set
-    return e, -1j * (sinc * vbar)
+    sinc *= vbar
+    del vbar
+    return e, -1j * sinc
 
 
 def _add_trapezoid(w: np.ndarray, phase: np.ndarray, inner: np.ndarray, v_inner: np.ndarray):
@@ -275,8 +317,8 @@ def _add_trapezoid(w: np.ndarray, phase: np.ndarray, inner: np.ndarray, v_inner:
     return steps[-1].copy()
 
 
-def _add_chunk(vt: np.ndarray, omega_s: float, dt: float, phase, batch, v_inner, sum_a1, sum_sq):
-    """Step one chunk, vt[k, i] = v_i(t_k), STEP_ROWS rows at a time, from
+def _add_chunk(blocks, omega_s: float, dt: float, phase, batch, v_inner, sum_a1, sum_sq):
+    """Step one chunk of ``_noise_blocks`` time-major blocks, from
     (a1, a2) = (1/sqrt 2, 0). Adds per time the path sum of v inner (the cumulative
     trapezoid of v phase, in units of dt / 2) into ``v_inner``, and the sums of a1
     and (|a1|^2, |a2|^2) over each batch of paths into ``sum_a1`` and ``sum_sq``.
@@ -285,15 +327,14 @@ def _add_chunk(vt: np.ndarray, omega_s: float, dt: float, phase, batch, v_inner,
     The block size sets the working set, not the result: every sum runs per time
     row or per batch of paths, and the trapezoid carry adds row by row across
     block boundaries, so any STEP_ROWS gives the same bits."""
-    n_times, n = vt.shape
+    n = batch.size
     starts = np.flatnonzero(np.diff(batch, prepend=-1))
     cols = batch[starts]
     amp = np.zeros((STEP_ROWS + 1, 2, n), dtype=complex)  # rows of (a1, a2)
     amp[0, 0] = 1.0 / math.sqrt(2.0)
     inner = np.zeros(n, dtype=complex)
     norm_defect = 0.0
-    for k0 in range(0, n_times - 1, STEP_ROWS):
-        w = vt[k0 : k0 + STEP_ROWS + 1]
+    for k0, w in blocks:
         m = w.shape[0] - 1
         inner = _add_trapezoid(w, phase[k0 : k0 + m + 1], inner, v_inner[k0 + 1 : k0 + m + 1])
         e, g = _step_rotations(w, 0.5 * omega_s, dt)
@@ -345,10 +386,13 @@ def perturbative_amplitudes(
     Processes the ensemble in fixed-size chunks so memory stays flat and the
     result is bit-identical for a given seed regardless of ensemble splitting.
     Draws noise stream 0, in min(N_BATCHES, n_traj) batches of trajectories.
-    Each chunk is stepped time-major and summed over paths as it goes (no
-    per-path history). The trapezoid rule is linear, so the reduced da runs its
+    Each chunk's draws are the one path-sized array: its paths come out of them
+    in time-major blocks, stepped and summed over paths as they go (no per-path
+    history). The trapezoid rule is linear, so the reduced da runs its
     outer integral once, over the path sum of v conj(phase) inner.
     """
+    if n_traj < 1:
+        raise ValidationError("n_traj must be at least one")
     _check_perturbative_window(p, duration)
     n_batches = max(1, min(N_BATCHES, n_traj))
     n_steps = int(math.ceil(duration / p.dt - 1e-9))
@@ -360,11 +404,13 @@ def perturbative_amplitudes(
     sum_sq = np.zeros((n_steps + 1, 2, n_batches))
     norm_defect = 0.0
     for i, size in enumerate(_chunk_sizes(n_traj)):
-        vt = _noise_chunk(p, n_steps, size, 0, i)
+        draws = np.empty((size, n_steps + 1))
+        _draw_chunk(p, draws, 0, i)
         ids = batch[i * CHUNK : i * CHUNK + size]
-        defect = _add_chunk(vt, omega_s, p.dt, phase, ids, v_inner, sum_a1, sum_sq)
+        blocks = _noise_blocks(p, draws)
+        defect = _add_chunk(blocks, omega_s, p.dt, phase, ids, v_inner, sum_a1, sum_sq)
         norm_defect = max(norm_defect, defect)
-        del vt  # freed before the next chunk's noise is drawn, for peak memory
+        del draws  # freed before the next chunk is drawn, for peak memory
     outer = np.conj(phase) * v_inner * (0.5 * p.dt)
     delta_a = np.concatenate([[0.0], np.cumsum(p.dt * (outer[1:] + outer[:-1]) / 2.0)])
     counts = np.bincount(batch, minlength=n_batches)
@@ -444,7 +490,8 @@ def extract_rates(run: PerturbativeRun) -> RateExtraction:
     rng = np.random.default_rng(np.random.SeedSequence((run.process.seed, 0xB007)))
     b = run.n_batches
     picks = rng.integers(0, b, size=(N_BOOTSTRAP, b))
-    weights = np.apply_along_axis(np.bincount, 1, picks, minlength=b) / b
+    picks += b * np.arange(N_BOOTSTRAP)[:, None]  # resample r counts in row r
+    weights = np.bincount(picks.ravel(), minlength=N_BOOTSTRAP * b).reshape(N_BOOTSTRAP, b) / b
 
     rho11_rs = (weights @ run.batch_mean_abs_a1_sq[:, idx]) / 0.5
     mean_a1_rs = weights @ run.batch_mean_a1[:, idx]

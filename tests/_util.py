@@ -103,6 +103,14 @@ def reference_dichotomous_chunk(p, n_steps, n_paths, rng):
     return math.sqrt(p.variance) * np.cumprod(signs, axis=1)
 
 
+def reference_noise_chunk(p, n_steps, n_paths, stream, index):
+    """Path-major chunk ``index`` of noise stream ``stream``, from the references above."""
+    rng = np.random.default_rng(np.random.SeedSequence((p.seed, stream, index)))
+    if p.kind is stochastic.NoiseKind.ORNSTEIN_UHLENBECK:
+        return reference_ou_chunk(p, n_steps, n_paths, rng)
+    return reference_dichotomous_chunk(p, n_steps, n_paths, rng)
+
+
 def reference_schroedinger_block(v, omega_s, dt):
     """Per-path (1, 2) amplitudes, v[i, k] = v_i(t_k), one column per step."""
     n_paths, n_times = v.shape
@@ -152,7 +160,7 @@ def reference_perturbative_amplitudes(p, omega_s, duration, n_traj, omega0=0.0):
     norm_defect = 0.0
     offset = 0
     for i, size in enumerate(stochastic._chunk_sizes(n_traj)):
-        v = stochastic._noise_chunk(p, n_steps, size, 0, i).T
+        v = reference_noise_chunk(p, n_steps, size, 0, i)
         delta = reference_second_order_amplitude(v, omega_s, p.dt, times)
         a1, a2 = reference_schroedinger_block(v, omega_s, p.dt)
         norms = np.abs(a1) ** 2 + np.abs(a2) ** 2 + 0.5
@@ -187,3 +195,19 @@ def reference_correlation(values, n_lags):
     for lag in range(n_lags + 1):
         corr[lag] = float(np.mean(values[:, : n_times - lag] * values[:, lag:]))
     return corr
+
+
+def reference_einsum_correlation(paths):
+    """correlation_spectrum's correlation by one rfft and one einsum over each CHUNK
+    of paths: the form whose bits the path-sliced estimator must reproduce."""
+    p = paths.process
+    n = paths.times.size
+    n_lags = min(int(round(10.0 * p.tau_c / p.dt)), (n - 1) // 2)
+    size = 1 << (n + n_lags - 1).bit_length()
+    power = np.zeros(size // 2 + 1)
+    for start in range(0, paths.n_paths, stochastic.CHUNK):
+        f = np.fft.rfft(paths.values[start : start + stochastic.CHUNK], n=size, axis=1)
+        parts = f.view(float).reshape(f.shape + (2,))
+        power += np.einsum("ijk,ijk->j", parts, parts)
+    lagged = np.fft.irfft(power, n=size)[: n_lags + 1]
+    return lagged / (paths.n_paths * (n - np.arange(n_lags + 1)))

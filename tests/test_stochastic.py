@@ -15,11 +15,13 @@ from spinkinetics import (
     simulate_noise,
 )
 from spinkinetics import stochastic
-from spinkinetics.stochastic import CHUNK, _add_chunk, _noise_chunk
+from spinkinetics.stochastic import CHUNK, _add_chunk, _draw_chunk, _noise_blocks
 
 from _util import (
     reference_correlation,
     reference_dichotomous_chunk,
+    reference_einsum_correlation,
+    reference_noise_chunk,
     reference_ou_chunk,
     reference_perturbative_amplitudes,
     reference_second_order_amplitude,
@@ -50,8 +52,14 @@ class TestNoiseProcess:
             simulate_noise(ou(), 5 * TAU)
 
 
+def draw_chunk(p, n_steps, n_paths, stream, index):
+    draws = np.empty((n_paths, n_steps + 1))
+    _draw_chunk(p, draws, stream, index)
+    return draws
+
+
 class TestNoiseChunks:
-    """Time-major chunks are the transposes of the path-major references, bit for bit."""
+    """Time-major noise blocks are the transposes of the path-major references, bit for bit."""
 
     @pytest.mark.parametrize(
         "make, reference",
@@ -60,12 +68,25 @@ class TestNoiseChunks:
     )
     @pytest.mark.parametrize("n_paths", [1, 300, CHUNK])
     def test_chunk_is_the_reference_transposed(self, make, reference, n_paths):
+        # 300 and CHUNK paths of 400 steps take several path slices to draw
         p, n_steps, stream, index = make(seed=11), 400, 1, 2
-        chunk = _noise_chunk(p, n_steps, n_paths, stream, index)
+        draws = draw_chunk(p, n_steps, n_paths, stream, index)
+        # each block's first row repeats the previous block's last
+        rows = [draws[:, 0]] + [w[1:].copy() for _, w in _noise_blocks(p, draws)]
+        chunk = np.vstack(rows)
         rng = np.random.default_rng(np.random.SeedSequence((p.seed, stream, index)))
         expected = reference(p, n_steps, n_paths, rng)
         assert chunk.shape == (n_steps + 1, n_paths)
         assert chunk.tobytes() == np.ascontiguousarray(expected.T).tobytes()
+
+    @pytest.mark.parametrize("make", [ou, dichotomous], ids=["ou", "dichotomous"])
+    def test_simulated_paths_are_the_reference(self, make):
+        p = make(seed=12)
+        paths = simulate_noise(p, 20 * TAU, n_paths=CHUNK + 452, stream=1)
+        n_steps = paths.times.size - 1
+        expected = np.concatenate([reference_noise_chunk(p, n_steps, CHUNK, 1, 0),
+                                   reference_noise_chunk(p, n_steps, 452, 1, 1)])
+        assert paths.values.tobytes() == expected.tobytes()
 
 
 class TestNoiseStatistics:
@@ -141,6 +162,11 @@ class TestAmplitudeEnsembles:
         assert np.abs(run.rho11 - 1.0).max() < 1e-12
         assert np.abs(run.delta_a_mean).max() < 1e-12
 
+    @pytest.mark.parametrize("n_traj", [0, -3])
+    def test_empty_ensemble_rejected(self, n_traj):
+        with pytest.raises(ValidationError, match="n_traj"):
+            perturbative_amplitudes(ou(), 0.0, 40 * TAU, n_traj=n_traj)
+
     def test_window_violation_rejected(self):
         strong = NoiseProcess(NoiseKind.ORNSTEIN_UHLENBECK, variance=1e26, tau_c=TAU, seed=12)
         with pytest.raises(ValidationError):
@@ -195,23 +221,61 @@ class TestBlockSize:
                 assert got.tobytes() == expected.tobytes(), name
 
     def test_a_chunk_steps_within_the_l2_budget(self):
+        # the noise blocks are made inside the traced call and count against the budget
         p = ou(seed=35)
         n_traj, n_batches = 10000, stochastic.N_BATCHES
-        vt = _noise_chunk(p, 1200, CHUNK, 0, 0)
+        draws = draw_chunk(p, 1200, CHUNK, 0, 0)
         phase = np.exp(-1j / TAU * np.arange(1201) * p.dt)
         batch = ((np.arange(n_traj) * n_batches) // n_traj)[:CHUNK]
         v_inner = np.zeros(1201, dtype=complex)
         sum_a1 = np.zeros((1201, n_batches), dtype=complex)
         sum_sq = np.zeros((1201, 2, n_batches))
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            _add_chunk(vt, 1.0 / TAU, p.dt, phase, batch, v_inner, sum_a1, sum_sq)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: _add_chunk(_noise_blocks(p, draws), 1.0 / TAU, p.dt,
+                                              phase, batch, v_inner, sum_a1, sum_sq))
         assert peak <= self.L2_BUDGET, f"peak {peak / 2**20:.2f} MiB"
+
+
+def traced_peak(run):
+    """Peak bytes that tracemalloc sees allocated during run(), above those before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Each Monte Carlo stage holds one path-sized array at most: the noise is drawn
+    into it, and its consumers take time-major blocks or path slices of it."""
+
+    SLACK = 2 * 2**20
+
+    @pytest.mark.parametrize("make", [ou, dichotomous], ids=["ou", "dichotomous"])
+    def test_amplitudes_hold_one_chunk_of_draws(self, make):
+        p, n_steps, n_batches = make(seed=36), 1200, stochastic.N_BATCHES
+        perturbative_amplitudes(p, 1.0 / TAU, 20 * TAU, 4)  # first-call imports, untraced
+        peak = traced_peak(lambda: perturbative_amplitudes(p, 1.0 / TAU, 60 * TAU, 2 * CHUNK))
+        draws = CHUNK * (n_steps + 1) * 8
+        sums = (n_steps + 1) * (16 + n_batches * 16 + 2 * n_batches * 8)  # v_inner, sum_a1, sum_sq
+        assert peak <= draws + sums + self.SLACK, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("make", [ou, dichotomous], ids=["ou", "dichotomous"])
+    def test_simulated_noise_holds_only_its_values(self, make):
+        p = make(seed=37)
+        simulate_noise(p, 20 * TAU, n_paths=4)  # first-call imports, untraced
+        peak = traced_peak(lambda: simulate_noise(p, 60 * TAU, n_paths=2000))
+        values = 2000 * 1201 * 8
+        assert peak <= values + self.SLACK, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("make", [ou, dichotomous], ids=["ou", "dichotomous"])
+    def test_spectrum_works_in_path_slices(self, make):
+        paths = simulate_noise(make(seed=38), 60 * TAU, n_paths=2000)
+        correlation_spectrum(paths)  # first-call imports, untraced
+        peak = traced_peak(lambda: correlation_spectrum(paths))
+        assert peak <= 2 * self.SLACK, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestRateExtraction:
@@ -316,6 +380,18 @@ class TestMatchesPathMajorReference:
         for name in ("delta_a_mean", "rho11", "rho01", "leak", "batch_mean_a1",
                      "batch_mean_abs_a1_sq", "norm_defect"):
             assert_relatively_close(getattr(run, name), ref[name], 1e-13)
+
+    @pytest.mark.parametrize("make", [ou, dichotomous], ids=["ou", "dichotomous"])
+    @pytest.mark.parametrize("n_paths", [300, 1000, CHUNK + 452])
+    @pytest.mark.parametrize("slice_bytes", [1, stochastic.SLICE_BYTES], ids=["one-path", "default"])
+    def test_correlation_bits_match_one_einsum_per_chunk(self, monkeypatch, make, n_paths,
+                                                         slice_bytes):
+        # the path floor guards the estimate's statistics, not its arithmetic
+        monkeypatch.setattr(stochastic, "MIN_SPECTRUM_PATHS", 1)
+        monkeypatch.setattr(stochastic, "SLICE_BYTES", slice_bytes)
+        paths = simulate_noise(make(seed=32), 20 * TAU, n_paths=n_paths)
+        got = correlation_spectrum(paths).correlation
+        assert got.tobytes() == reference_einsum_correlation(paths).tobytes()
 
     @pytest.mark.parametrize("make", [ou, dichotomous], ids=["ou", "dichotomous"])
     def test_correlation(self, make):
