@@ -15,6 +15,7 @@ failure, 4 numerical failure. Errors print a one-line JSON reason to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -298,7 +299,7 @@ _THREE_STATE = {
 }
 
 
-def _run_three_state(params: dict, seed):
+def _run_three_state(params: dict, seed, workers):
     p = three_state.ThreeStateParams(
         omega0=params["omega0_rad_s"],
         omega_s=params["omega_s_rad_s"],
@@ -369,7 +370,7 @@ _RADICAL_PAIR = _Tagged(
 )
 
 
-def _run_radical_pair(params: dict, seed):
+def _run_radical_pair(params: dict, seed, workers):
     factory, rates = _REACTIONS[params["variant"]]
     model = factory(*(params[key] for key in rates))
     h = radical_pair.PairHamiltonian(
@@ -430,7 +431,7 @@ _RADII = {
 }
 
 
-def _run_radii(params: dict, seed):
+def _run_radii(params: dict, seed, workers):
     p = diffusion.DiffusionParams(
         d=params["d_cm"],
         lambda0=params["lambda0_cm"],
@@ -509,16 +510,19 @@ def _oracle_setup(params: dict, seed: int):
     return process, stochastic.closed_loop_duration(process, params.get("t_total_s"))
 
 
-def _run_oracle(params: dict, seed):
+def _run_oracle(params: dict, seed, workers):
     process, duration = _oracle_setup(params, seed if seed is not None else 12345)
-    report = stochastic.closed_loop_check(
-        process,
-        omega_s=params["omega_s_rad_s"],
-        omega0=params["omega0_rad_s"],
-        duration=duration,
-        n_traj=params["n_traj"],
-        n_spectrum_paths=params["n_spectrum_paths"],
-    )
+    chunks = math.ceil(params["n_traj"] / stochastic.CHUNK)
+    with _task_map(min(workers, chunks)) as chunk_map:
+        report = stochastic.closed_loop_check(
+            process,
+            omega_s=params["omega_s_rad_s"],
+            omega0=params["omega0_rad_s"],
+            duration=duration,
+            n_traj=params["n_traj"],
+            n_spectrum_paths=params["n_spectrum_paths"],
+            map=chunk_map,
+        )
     run = report.run
     rates = report.rates
     results = {
@@ -543,7 +547,9 @@ def _run_oracle(params: dict, seed):
     return results, (["t_s", "rho_11", "abs_rho_01", "two_re_delta_a"], table)
 
 
-_RUNNERS = {  # scenario -> (parameters schema, runner, check of the keys that span each other)
+#: scenario -> (parameters schema, runner(params, seed, workers), check of the keys
+#: that span each other)
+_RUNNERS = {
     "three-state": (_THREE_STATE, _run_three_state, None),
     "radical-pair": (_RADICAL_PAIR, _run_radical_pair, None),
     "radii": (_RADII, _run_radii, None),
@@ -657,10 +663,37 @@ def _write_series(out_dir: Path, columns, table: np.ndarray, fmt: str) -> Path:
     return path
 
 
-def _run_point(scenario: str, params: dict, seed):
-    """Execute one scenario evaluation (also the sweep worker)."""
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _task_map(workers: int):
+    """The map that runs a stage's tasks and yields their results in order: the
+    builtin map for one worker, else the map of a pool of ``workers`` processes.
+
+    Multi-threaded BLAS in every worker spins on the same CPUs, so each worker
+    sets one thread as it starts. The parent keeps its counts: it may do its own
+    work while the pool is open, and OpenBLAS rounds a threaded matrix product
+    differently on one thread. The pool is shut down, its workers joined, before
+    the block is left, also when a task raises.
+    """
+    if workers <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers, initializer=_blas_threads,
+                             initargs=(1,)) as pool:
+        yield pool.map
+
+
+def _run_point(scenario: str, params: dict, seed, workers: int = 1):
+    """Execute one scenario evaluation in at most ``workers`` processes: one for
+    a sweep point, so that pools never nest."""
     _, runner, _ = _RUNNERS[scenario]
-    return runner(params, seed)
+    return runner(params, seed, workers)
 
 
 def _checked_config(args, *, sweep: bool):
@@ -698,7 +731,7 @@ def cmd_run(args) -> int:
     config, params, out_dir = _checked_config(args, sweep=False)
     if args.format is not None:
         config["output"]["format"] = args.format
-    results, series = _run_point(config["scenario"], params, config.get("seed"))
+    results, series = _run_point(config["scenario"], params, config.get("seed"), _cpus())
     if series is not None:  # the summary goes last: it exists only for a complete run
         path = _write_series(out_dir, *series, config["output"]["format"])
         print(f"wrote {path}")
@@ -748,22 +781,10 @@ def cmd_sweep(args) -> int:
     config, tasks, out_dir = _checked_config(args, sweep=True)
     scenario = config["scenario"]
     payloads = [(scenario, point, params, seed) for _i, point, params, seed in tasks]
-    cpus = os.cpu_count() or 1
+    cpus = _cpus()
     # a fork pool starts every worker at once, however few points there are
-    workers = min(args.workers or cpus, len(tasks), cpus)
-    if workers > 1:
-        # multi-threaded BLAS in every worker spins on the same CPUs: one
-        # thread each (set before the fork, and by the initializer for other
-        # start methods), and the parent's counts back afterwards
-        previous = _blas_threads(1)
-        try:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_blas_threads,
-                                     initargs=(1,)) as pool:
-                all_results = list(pool.map(_sweep_worker, payloads))
-        finally:
-            _blas_threads(previous)
-    else:
-        all_results = [_sweep_worker(p) for p in payloads]
+    with _task_map(min(args.workers or cpus, len(tasks), cpus)) as point_map:
+        all_results = list(point_map(_sweep_worker, payloads))
 
     grid_keys = sorted(config["grid"])
     flat_rows = [_flatten(r) for r in all_results]

@@ -22,6 +22,7 @@ correlation function variance * exp(-t / tau_c).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -353,6 +354,26 @@ def _add_chunk(blocks, omega_s: float, dt: float, phase, batch, v_inner, sum_a1,
     return norm_defect
 
 
+def _chunk_sums(p: NoiseProcess, omega_s: float, phase: np.ndarray, n_traj: int,
+                n_batches: int, index: int):
+    """Draw chunk ``index`` of noise stream 0 and step it with ``_add_chunk`` into
+    zeroed sums of its own: (b0, v_inner, sum_a1, sum_sq, norm defect), with the
+    batch sums over the chunk's own batches b0, b0 + 1, ... The task that
+    ``perturbative_amplitudes`` maps over the chunks."""
+    start = index * CHUNK
+    batch = (np.arange(start, min(start + CHUNK, n_traj)) * n_batches) // n_traj
+    b0 = int(batch[0])
+    width = int(batch[-1]) - b0 + 1
+    v_inner = np.zeros(phase.size, dtype=complex)
+    sum_a1 = np.zeros((phase.size, width), dtype=complex)
+    sum_sq = np.zeros((phase.size, 2, width))
+    draws = np.empty((batch.size, phase.size))
+    _draw_chunk(p, draws, 0, index)
+    defect = _add_chunk(_noise_blocks(p, draws), omega_s, p.dt, phase, batch - b0,
+                        v_inner, sum_a1, sum_sq)
+    return b0, v_inner, sum_a1, sum_sq, defect
+
+
 @dataclass(frozen=True)
 class PerturbativeRun:
     """Ensemble averages of the second-order and directly integrated dynamics.
@@ -380,6 +401,7 @@ def perturbative_amplitudes(
     duration: float,
     n_traj: int,
     omega0: float = 0.0,
+    map=map,
 ) -> PerturbativeRun:
     """Run the trajectory ensemble and average amplitudes and da(t).
 
@@ -390,6 +412,12 @@ def perturbative_amplitudes(
     in time-major blocks, stepped and summed over paths as they go (no per-path
     history). The trapezoid rule is linear, so the reduced da runs its
     outer integral once, over the path sum of v conj(phase) inner.
+
+    ``map`` runs ``_chunk_sums`` over the chunk indices and yields the results
+    in chunk order: the builtin map, or a process pool's. Each chunk is seeded
+    on its own and summed into zeros, and the results are added into the totals
+    in chunk order, so every cell gets the same additions in the same order
+    whatever the map: the result does not depend on it, bit for bit.
     """
     if n_traj < 1:
         raise ValidationError("n_traj must be at least one")
@@ -398,21 +426,28 @@ def perturbative_amplitudes(
     n_steps = int(math.ceil(duration / p.dt - 1e-9))
     times = np.arange(n_steps + 1) * p.dt
     phase = np.exp(-1j * omega_s * times)
-    batch = (np.arange(n_traj) * n_batches) // n_traj
+    task = functools.partial(_chunk_sums, p, omega_s, phase, n_traj, n_batches)
+    # a chunk's sums span its own batches, so together they are no larger than
+    # the totals: kept until the last chunk is stepped, they add no path-sized
+    # array. They are copied because a pool unpickles each result on a thread of
+    # its own, whose malloc arena the rest of the run would not reuse
+    parts = []
+    for b0, v, a1, sq, defect in map(task, range(len(_chunk_sizes(n_traj)))):
+        parts.append((b0, v, a1.copy(), sq.copy(), defect))
+        del a1, sq  # freed before the next chunk is stepped
     v_inner = np.zeros(n_steps + 1, dtype=complex)
     sum_a1 = np.zeros((n_steps + 1, n_batches), dtype=complex)
     sum_sq = np.zeros((n_steps + 1, 2, n_batches))
     norm_defect = 0.0
-    for i, size in enumerate(_chunk_sizes(n_traj)):
-        draws = np.empty((size, n_steps + 1))
-        _draw_chunk(p, draws, 0, i)
-        ids = batch[i * CHUNK : i * CHUNK + size]
-        blocks = _noise_blocks(p, draws)
-        defect = _add_chunk(blocks, omega_s, p.dt, phase, ids, v_inner, sum_a1, sum_sq)
+    for b0, v, a1, sq, defect in parts:
+        v_inner += v
+        sum_a1[:, b0 : b0 + a1.shape[1]] += a1
+        sum_sq[:, :, b0 : b0 + sq.shape[2]] += sq
         norm_defect = max(norm_defect, defect)
-        del draws  # freed before the next chunk is drawn, for peak memory
+    del parts
     outer = np.conj(phase) * v_inner * (0.5 * p.dt)
     delta_a = np.concatenate([[0.0], np.cumsum(p.dt * (outer[1:] + outer[:-1]) / 2.0)])
+    batch = (np.arange(n_traj) * n_batches) // n_traj
     counts = np.bincount(batch, minlength=n_batches)
     a0 = (1.0 / math.sqrt(2.0)) * np.exp(-1j * omega0 * times)
     mean_sq = sum_sq.sum(axis=2) / n_traj / 0.5
@@ -438,6 +473,35 @@ def _slope(t: np.ndarray, y: np.ndarray):
     """Least-squares slope of y against t; one per row when y is 2-D."""
     tc = t - t.mean()
     return (y @ tc) / (tc @ tc)
+
+
+def _neg_log_slope(t: np.ndarray, y: np.ndarray):
+    """The slope of -log(y) against t, one per row; overwrites ``y``."""
+    np.log(y, out=y)
+    np.negative(y, out=y)
+    return _slope(t, y)
+
+
+def _bootstrap_slopes(run: PerturbativeRun, idx: np.ndarray):
+    """(w11, w01) slopes of N_BOOTSTRAP resamples of the trajectory batches over
+    the times ``idx``. Each resample's curve is built in one array, in place: the
+    complex mean of a1 is freed once its magnitude is taken."""
+    rng = np.random.default_rng(np.random.SeedSequence((run.process.seed, 0xB007)))
+    b = run.n_batches
+    picks = rng.integers(0, b, size=(N_BOOTSTRAP, b))
+    picks += b * np.arange(N_BOOTSTRAP)[:, None]  # resample r counts in row r
+    weights = np.bincount(picks.ravel(), minlength=N_BOOTSTRAP * b).reshape(N_BOOTSTRAP, b) / b
+    tw = run.times[idx]
+
+    rho11_rs = weights @ run.batch_mean_abs_a1_sq[:, idx]
+    rho11_rs /= 0.5
+    w11_rs = _neg_log_slope(tw, rho11_rs)
+    del rho11_rs
+    mean_a1_rs = weights @ run.batch_mean_a1[:, idx]
+    abs_rho01_rs = np.abs(mean_a1_rs)
+    del mean_a1_rs
+    abs_rho01_rs *= math.sqrt(2.0)
+    return w11_rs, _neg_log_slope(tw, abs_rho01_rs)
 
 
 @dataclass(frozen=True)
@@ -487,17 +551,7 @@ def extract_rates(run: PerturbativeRun) -> RateExtraction:
     w01 = float(_slope(tw, -np.log(np.abs(run.rho01[idx]))))
     w11_delta = float(_slope(tw, growth[idx]))
 
-    rng = np.random.default_rng(np.random.SeedSequence((run.process.seed, 0xB007)))
-    b = run.n_batches
-    picks = rng.integers(0, b, size=(N_BOOTSTRAP, b))
-    picks += b * np.arange(N_BOOTSTRAP)[:, None]  # resample r counts in row r
-    weights = np.bincount(picks.ravel(), minlength=N_BOOTSTRAP * b).reshape(N_BOOTSTRAP, b) / b
-
-    rho11_rs = (weights @ run.batch_mean_abs_a1_sq[:, idx]) / 0.5
-    mean_a1_rs = weights @ run.batch_mean_a1[:, idx]
-    abs_rho01_rs = np.abs(mean_a1_rs) * math.sqrt(2.0)
-    w11_rs = _slope(tw, -np.log(rho11_rs))
-    w01_rs = _slope(tw, -np.log(abs_rho01_rs))
+    w11_rs, w01_rs = _bootstrap_slopes(run, idx)
     ratio_rs = w01_rs / w11_rs
 
     return RateExtraction(
@@ -544,6 +598,7 @@ def closed_loop_check(
     duration: Optional[float] = None,
     n_traj: int = 10000,
     n_spectrum_paths: int = 2000,
+    map=map,
 ) -> ClosedLoopReport:
     """Measure J(w) and the MC rates from the same process and compare.
 
@@ -551,14 +606,20 @@ def closed_loop_check(
     noise carries no thermal asymmetry) whose assembled supermatrix yields the
     population transfer rate; agreement with the trajectory slope within 10%
     closes the loop.
+
+    The spectrum is computed first and its paths dropped before the amplitude
+    chunks start, so a process pool behind ``map`` forks from a small parent.
+    Each stage draws its own seeded stream, so the order moves no bit, and
+    neither does ``map`` (see ``perturbative_amplitudes``).
     """
     duration = closed_loop_duration(p, duration)
-    run = perturbative_amplitudes(p, omega_s, duration, n_traj, omega0=omega0)
-    rates = extract_rates(run)
     corr_paths = simulate_noise(
         p, max(duration, 60.0 * p.tau_c), n_paths=n_spectrum_paths, stream=1
     )
     spectrum = correlation_spectrum(corr_paths)
+    del corr_paths
+    run = perturbative_amplitudes(p, omega_s, duration, n_traj, omega0=omega0, map=map)
+    rates = extract_rates(run)
     grid_top = max(3.0 * abs(omega_s), 6.0 / p.tau_c)
     tabulated = spectrum.to_tabulated(np.linspace(0.0, grid_top, 601))
     coupling = CouplingOperator("v", OperatorMatrix(THREE_STATE_BASIS, SX), 0)

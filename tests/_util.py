@@ -188,6 +188,42 @@ def reference_perturbative_amplitudes(p, omega_s, duration, n_traj, omega0=0.0):
     }
 
 
+def reference_shared_totals_amplitudes(p, omega_s, duration, n_traj, omega0=0.0):
+    """perturbative_amplitudes with every chunk stepped straight into one set of
+    totals, chunk after chunk, as a dict of its fields: the form whose bits the
+    per-chunk sums, added in chunk order, must reproduce."""
+    n_batches = max(1, min(stochastic.N_BATCHES, n_traj))
+    n_steps = int(math.ceil(duration / p.dt - 1e-9))
+    times = np.arange(n_steps + 1) * p.dt
+    phase = np.exp(-1j * omega_s * times)
+    batch = (np.arange(n_traj) * n_batches) // n_traj
+    v_inner = np.zeros(n_steps + 1, dtype=complex)
+    sum_a1 = np.zeros((n_steps + 1, n_batches), dtype=complex)
+    sum_sq = np.zeros((n_steps + 1, 2, n_batches))
+    norm_defect = 0.0
+    for i, size in enumerate(stochastic._chunk_sizes(n_traj)):
+        draws = np.empty((size, n_steps + 1))
+        stochastic._draw_chunk(p, draws, 0, i)
+        defect = stochastic._add_chunk(stochastic._noise_blocks(p, draws), omega_s, p.dt, phase,
+                                       batch[i * stochastic.CHUNK : i * stochastic.CHUNK + size],
+                                       v_inner, sum_a1, sum_sq)
+        norm_defect = max(norm_defect, defect)
+    outer = np.conj(phase) * v_inner * (0.5 * p.dt)
+    delta_a = np.concatenate([[0.0], np.cumsum(p.dt * (outer[1:] + outer[:-1]) / 2.0)])
+    counts = np.bincount(batch, minlength=n_batches)
+    a0 = (1.0 / math.sqrt(2.0)) * np.exp(-1j * omega0 * times)
+    mean_sq = sum_sq.sum(axis=2) / n_traj / 0.5
+    return {
+        "delta_a_mean": delta_a / n_traj,
+        "rho11": mean_sq[:, 0],
+        "rho01": np.conj(a0) * (sum_a1.sum(axis=1) / n_traj) / 0.5,
+        "leak": mean_sq[:, 1],
+        "norm_defect": norm_defect,
+        "batch_mean_a1": (sum_a1 / counts).T,
+        "batch_mean_abs_a1_sq": (sum_sq[:, 0] / counts).T,
+    }
+
+
 def reference_correlation(values, n_lags):
     """K at lags 0..n_lags: the mean of v(t) v(t + lag) over paths and origins, lag by lag."""
     n_times = values.shape[1]
@@ -211,3 +247,20 @@ def reference_einsum_correlation(paths):
         power += np.einsum("ijk,ijk->j", parts, parts)
     lagged = np.fft.irfft(power, n=size)[: n_lags + 1]
     return lagged / (paths.n_paths * (n - np.arange(n_lags + 1)))
+
+
+def reference_bootstrap_slopes(run, idx):
+    """stochastic._bootstrap_slopes with a new array for each step of each curve:
+    the form whose bits the in-place bootstrap must reproduce."""
+    rng = np.random.default_rng(np.random.SeedSequence((run.process.seed, 0xB007)))
+    b = run.n_batches
+    n = stochastic.N_BOOTSTRAP
+    picks = rng.integers(0, b, size=(n, b))
+    picks += b * np.arange(n)[:, None]
+    weights = np.bincount(picks.ravel(), minlength=n * b).reshape(n, b) / b
+    tw = run.times[idx]
+    rho11_rs = (weights @ run.batch_mean_abs_a1_sq[:, idx]) / 0.5
+    mean_a1_rs = weights @ run.batch_mean_a1[:, idx]
+    abs_rho01_rs = np.abs(mean_a1_rs) * math.sqrt(2.0)
+    return (stochastic._slope(tw, -np.log(rho11_rs)),
+            stochastic._slope(tw, -np.log(abs_rho01_rs)))

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinkinetics import cli, radical_pair
+from spinkinetics import NumericalError, cli, radical_pair, stochastic
 from spinkinetics.cli import (
     EXIT_NUMERICAL,
     EXIT_PARSE,
@@ -23,6 +24,9 @@ from spinkinetics.cli import (
     _sweep_tasks,
     main,
 )
+
+#: an oracle ensemble of three chunks, the last one partial
+THREE_CHUNKS = 2 * stochastic.CHUNK + 452
 
 RADII_PARAMS = {
     "d_cm": 4e-8,
@@ -99,6 +103,34 @@ VALID = {
         },
     },
 }
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of each pool the CLI builds, in order. The fake pool starts no
+    process: it runs its tasks in order in this one."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def set_cpus(monkeypatch, n):
+    """Let this process run on ``n`` CPUs, as its affinity says."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def with_params(scenario, **params):
@@ -551,23 +583,7 @@ class TestSweep:
         pooled = (tmp_path / "pool" / "sweep.csv").read_text()
         assert serial == pooled
 
-    def test_pool_is_no_larger_than_the_grid(self, tmp_path, monkeypatch):
-        sizes = []
-
-        class SerialPool:  # records the pool size and starts no process
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    def test_pool_is_no_larger_than_the_grid(self, tmp_path, pool_sizes):
         config = {
             "scenario": "radii",
             "parameters": RADII_PARAMS,
@@ -575,7 +591,19 @@ class TestSweep:
         }
         cfg = write_config(tmp_path / "cfg.json", config)
         assert main(["sweep", cfg, "--out-dir", str(tmp_path / "out"), "--workers", "64"]) == 0
-        assert all(n <= 3 for n in sizes)
+        assert all(n <= 3 for n in pool_sizes)
+
+    def test_pools_are_sized_by_cpu_affinity(self, tmp_path, monkeypatch, pool_sizes):
+        config = {"scenario": "radii", "parameters": RADII_PARAMS,
+                  "grid": {"D_cm2_per_s": [1e-6, 2e-6, 5e-6]}}
+        cfg = write_config(tmp_path / "cfg.json", config)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 1)  # pinned to one of two CPUs: no pool at all
+        assert main(["sweep", cfg, "--out-dir", str(tmp_path / "pinned")]) == 0
+        assert pool_sizes == []
+        monkeypatch.delattr(os, "sched_getaffinity")  # no affinity: the CPU count
+        assert main(["sweep", cfg, "--out-dir", str(tmp_path / "counted")]) == 0
+        assert pool_sizes == [2]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_a_failing_point_is_named_with_its_class_and_exit_code(
@@ -777,6 +805,67 @@ class TestOracleScenario:
         assert (tmp_path / "a" / "timeseries.csv").read_text() == (
             tmp_path / "b" / "timeseries.csv"
         ).read_text()
+
+    def test_a_one_chunk_run_starts_no_pool(self, tmp_path, monkeypatch, pool_sizes):
+        set_cpus(monkeypatch, 8)
+        cfg = write_config(tmp_path / "cfg.json", with_params("oracle", n_traj=stochastic.CHUNK))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_a_run_pools_at_most_one_worker_per_chunk_and_cpu(
+        self, tmp_path, monkeypatch, pool_sizes, cpus
+    ):
+        set_cpus(monkeypatch, cpus)
+        config = with_params("oracle", n_traj=THREE_CHUNKS, t_total_s=2e-12)
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        workers = min(cpus, 3)
+        assert pool_sizes == ([workers] if workers > 1 else [])
+
+    def test_sweep_points_start_no_pool_of_their_own(self, tmp_path, monkeypatch, pool_sizes):
+        set_cpus(monkeypatch, 8)
+        config = with_params("oracle", n_traj=THREE_CHUNKS, t_total_s=2e-12)
+        config["grid"] = {"omega_s_rad_s": [0.0, 1e13]}
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["sweep", cfg, "--out-dir", str(tmp_path / "out"), "--workers", "2"]) == 0
+        assert pool_sizes == [2]  # the sweep's, whose fake workers ran every point here
+
+    def test_a_radical_pair_run_starts_no_pool(self, tmp_path, monkeypatch, pool_sizes):
+        set_cpus(monkeypatch, 8)
+        cfg = write_config(tmp_path / "cfg.json", VALID["radical-pair"])
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        assert pool_sizes == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched noise draw reaches forked workers only")
+    def test_a_failing_chunk_exits_4_and_leaves_no_process(self, tmp_path, monkeypatch, capsys):
+        draw = stochastic._draw_chunk
+
+        def failing_draw(p, out, stream, index):  # the amplitude stream fails on chunk 1
+            if stream == 0 and index == 1:
+                raise NumericalError("chunk 1 failed")
+            return draw(p, out, stream, index)
+
+        pools = []
+
+        class RecordedPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(stochastic, "_draw_chunk", failing_draw)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordedPool)
+        set_cpus(monkeypatch, 2)
+        config = with_params("oracle", n_traj=THREE_CHUNKS, t_total_s=2e-12)
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        assert pools == [2]
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "numerical", "message": "chunk 1 failed"}
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_cross_key_failure_exits_3_before_the_run(self, tmp_path, monkeypatch):
         calls = []

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spinkinetics import stochastic
 from spinkinetics.stochastic import CHUNK, _add_chunk, _draw_chunk, _noise_blocks
 
 from _util import (
+    reference_bootstrap_slopes,
     reference_correlation,
     reference_dichotomous_chunk,
     reference_einsum_correlation,
@@ -25,6 +27,7 @@ from _util import (
     reference_ou_chunk,
     reference_perturbative_amplitudes,
     reference_second_order_amplitude,
+    reference_shared_totals_amplitudes,
 )
 
 TAU = 1e-13
@@ -198,6 +201,17 @@ class TestAmplitudeEnsembles:
         assert np.array_equal(a.delta_a_mean, b.delta_a_mean)
 
 
+#: every PerturbativeRun field that carries a number
+RUN_FIELDS = ("delta_a_mean", "rho11", "rho01", "leak", "batch_mean_a1",
+              "batch_mean_abs_a1_sq", "norm_defect")
+
+
+def assert_same_bits(run, expected):
+    for name in RUN_FIELDS:
+        got, want = np.asarray(getattr(run, name)), np.asarray(getattr(expected, name))
+        assert got.tobytes() == want.tobytes(), name
+
+
 class TestBlockSize:
     """STEP_ROWS sets the working set of the amplitude stepping, never a result bit."""
 
@@ -215,10 +229,7 @@ class TestBlockSize:
             runs.append(perturbative_amplitudes(make(seed=34), omega_s, 20 * TAU, CHUNK + 452,
                                                 omega0=0.35 / TAU))
         for run in runs[1:]:
-            for name in ("delta_a_mean", "rho11", "rho01", "leak", "batch_mean_a1",
-                         "batch_mean_abs_a1_sq", "norm_defect"):
-                got, expected = np.asarray(getattr(run, name)), np.asarray(getattr(runs[0], name))
-                assert got.tobytes() == expected.tobytes(), name
+            assert_same_bits(run, runs[0])
 
     def test_a_chunk_steps_within_the_l2_budget(self):
         # the noise blocks are made inside the traced call and count against the budget
@@ -233,6 +244,45 @@ class TestBlockSize:
         peak = traced_peak(lambda: _add_chunk(_noise_blocks(p, draws), 1.0 / TAU, p.dt,
                                               phase, batch, v_inner, sum_a1, sum_sq))
         assert peak <= self.L2_BUDGET, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.fixture(scope="module")
+def two_workers():
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        yield pool
+
+
+def reversed_map(fn, items):
+    """Run the tasks last to first, and yield their results in order."""
+    return reversed([fn(item) for item in reversed(list(items))])
+
+
+class TestChunkMap:
+    """The map that runs the amplitude chunks moves no bit of a result."""
+
+    @pytest.mark.parametrize("make", [ou, dichotomous], ids=["ou", "dichotomous"])
+    @pytest.mark.parametrize("omega_s", [1.0 / TAU, 0.0], ids=["detuned", "resonant"])
+    def test_a_two_worker_pool_gives_the_same_bits(self, two_workers, make, omega_s):
+        # three chunks, the last one partial; a batch straddles each boundary
+        args = (make(seed=39), omega_s, 5 * TAU, 2 * CHUNK + 452)
+        serial = perturbative_amplitudes(*args, omega0=0.35 / TAU)
+        pooled = perturbative_amplitudes(*args, omega0=0.35 / TAU, map=two_workers.map)
+        assert_same_bits(pooled, serial)
+
+    @pytest.mark.parametrize("make", [ou, dichotomous], ids=["ou", "dichotomous"])
+    def test_chunk_sums_have_the_bits_of_one_set_of_totals(self, make):
+        args = (make(seed=42), 1.0 / TAU, 5 * TAU, 2 * CHUNK + 452)
+        run = perturbative_amplitudes(*args, omega0=0.35 / TAU)
+        expected = reference_shared_totals_amplitudes(*args, omega0=0.35 / TAU)
+        for name in RUN_FIELDS:
+            got = np.asarray(getattr(run, name)).tobytes()
+            assert got == np.asarray(expected[name]).tobytes(), name
+
+    @pytest.mark.parametrize("make", [ou, dichotomous], ids=["ou", "dichotomous"])
+    def test_tasks_run_last_to_first_give_the_same_bits(self, make):
+        args = (make(seed=40), 1.0 / TAU, 5 * TAU, 2 * CHUNK + 452)
+        assert_same_bits(perturbative_amplitudes(*args, map=reversed_map),
+                         perturbative_amplitudes(*args))
 
 
 def traced_peak(run):
@@ -301,6 +351,25 @@ class TestRateExtraction:
                     process.kind,
                     w_tau,
                 )
+
+    @pytest.mark.parametrize("make", [ou, dichotomous], ids=["ou", "dichotomous"])
+    @pytest.mark.parametrize("seed", [1, 4, 7])
+    def test_bootstrap_bits_match_a_new_array_per_step(self, make, seed):
+        run = perturbative_amplitudes(make(seed=seed), 1 / TAU, 60 * TAU, n_traj=400)
+        idx = run.times >= 2 * TAU
+        got = stochastic._bootstrap_slopes(run, idx)
+        for slopes, expected in zip(got, reference_bootstrap_slopes(run, idx)):
+            assert slopes.tobytes() == expected.tobytes()
+
+    def test_bootstrap_builds_each_curve_in_place(self):
+        # one complex product and its magnitude at a time: three float arrays of
+        # the resample shape, against over five when every step made a new one
+        run = perturbative_amplitudes(ou(seed=41), 1 / TAU, 60 * TAU, n_traj=400)
+        extract_rates(run)  # first-call imports, untraced
+        peak = traced_peak(lambda: extract_rates(run))
+        window = int(np.count_nonzero(run.times >= 2 * TAU))
+        resamples = stochastic.N_BOOTSTRAP * window * 8
+        assert peak <= 4.5 * resamples, f"peak {peak / resamples:.2f} resample arrays"
 
     def test_dephasing_half_of_population_rate(self):
         run = perturbative_amplitudes(ou(seed=20), 1 / TAU, 60 * TAU, n_traj=4000)
