@@ -79,15 +79,18 @@ _restore = ()  # (set, count) of each copy, for when the last block closes
 
 
 @contextmanager
-def one_thread(dim: int):
-    """Run the block on one OpenBLAS thread if its matrices are dim x dim.
+def one_thread(dim: int | None = None):
+    """Run the block on one OpenBLAS thread.
 
-    Below ``THREADED_DIM`` OpenBLAS runs on one thread anyway, and the block
-    runs as it is. Nested and concurrent blocks share one setting: the counts
-    found when the first opens are restored when the last closes.
+    With ``dim``, the block's matrices are dim x dim, and below
+    ``THREADED_DIM`` OpenBLAS runs on one thread anyway, so the block runs as
+    it is. Without it the block is always pinned: a product of thin matrices
+    is threaded once m * n * k reaches the threshold, whatever each side is.
+    Nested and concurrent blocks share one setting: the counts found when the
+    first opens are restored when the last closes.
     """
     global _open_blocks, _restore
-    if dim < THREADED_DIM:
+    if dim is not None and dim < THREADED_DIM:
         yield
         return
     with _lock:

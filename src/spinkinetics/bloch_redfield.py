@@ -2,25 +2,36 @@
 
 The generator takes the standard sum_w J(w) A(w) form (Redfield 1957; Breuer &
 Petruccione, The Theory of Open Quantum Systems, ch. 3). Each Hermitian
-coupling L_i is paired with two filtered operators built from the eigenoperator
-components C_{i'}^r of all couplings at the Bohr frequencies w_r of H,
+coupling L_i is paired with two filtered operators, summed over the
+eigenoperator components of all couplings at the Bohr frequencies of H. In
+the eigenbasis of H the sum is a Hadamard (elementwise, o) product,
 
-    Lambda_i = sum_{i' r} J_{i'i}(w_r) C_{i'}^r
-    Theta_i  = sum_{i' r} J_{i'i}(w_r) tanh(beta w_r / 2) C_{i'}^r
+    Lambda_i = V [sum_{i'} J_{i'i}(W) o (V^dag L_{i'} V)] V^dag
+    Theta_i  = V [tanh(beta W / 2) o sum_{i'} J_{i'i}(W) o (V^dag L_{i'} V)] V^dag
 
-with J_{i'i} the symmetrised bath spectra, and R = (R_a + R_b)/2 where
+with V the eigenvectors of H, W the matrix of its Bohr frequencies
+nu_j - nu_j', binned, J_{i'i} the symmetrised bath spectra (zero cross-spectra
+are skipped) and tanh taken as sign at beta = inf. R = (R_a + R_b)/2 where
 R_a rho = sum_i [[Lambda_i, rho], L_i] and R_b rho = sum_i [L_i, [Theta_i, rho]_+].
 Detailed balance enters only through the tanh factor, so the spectra are even
 in frequency. Frequency (Lamb-type) shifts are dropped: only the real
 relaxation rates are produced.
+
+``frequency_decompose`` diagonalises and bins H once per Hamiltonian object
+and returns one coupling in that eigenbasis: V, W and V^dag L V, read as a
+sequence of FrequencyComponents built only on access. COMPONENT_DROP_RTOL
+drops the Bohr-frequency bins of a coupling whose Frobenius norm is at most
+that fraction of ||L||_F, from its components and from the assembly alike.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -29,7 +40,7 @@ from .liouville import OperatorMatrix, Superoperator, _sandwich
 
 #: relative tolerance used to merge nearly degenerate Bohr frequencies
 FREQUENCY_BIN_RTOL = 1e-9
-#: components smaller than this (relative to the coupling) are discarded
+#: bins whose Frobenius norm is at most this fraction of the coupling's are dropped
 COMPONENT_DROP_RTOL = 1e-12
 
 
@@ -120,13 +131,13 @@ _DENSITY_TYPES = (Lorentzian, WhiteNoise, Tabulated)
 ZERO_DENSITY = WhiteNoise(0.0)
 
 
-def thermal_factor(beta: float, omega: float) -> float:
+def thermal_factor(beta: float, omega):
     """tanh(beta * omega / 2) with the beta = +inf limit taken as sign(omega)."""
     if beta < 0:
         raise ValidationError("inverse temperature must be nonnegative")
-    if math.isinf(beta):
-        return float(np.sign(omega))
-    return float(np.tanh(0.5 * beta * omega))
+    w = np.asarray(omega, dtype=float)
+    out = np.sign(w) if math.isinf(beta) else np.tanh(0.5 * beta * w)
+    return float(out) if np.isscalar(omega) else out
 
 
 # ---------------------------------------------------------------------------
@@ -248,40 +259,87 @@ def _cluster_frequencies(freqs: np.ndarray, threshold: float):
     return 0.5 * (reps - reps[::-1]), labels
 
 
+#: (V, Omega-bar, bin labels, bin frequencies) of each Hamiltonian seen, kept
+#: while it lives; its entries are read-only
+_BINS: "weakref.WeakKeyDictionary[OperatorMatrix, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _bohr_bins(h: OperatorMatrix) -> tuple:
+    """Check, diagonalise and bin H once per Hamiltonian object.
+
+    Returns the eigenvectors V of H (columns), the binned Bohr frequency
+    Omega-bar[j, j'] of nu_j - nu_j', the bin label of each element and the
+    frequency of each bin, in ascending order.
+    """
+    bins = _BINS.get(h)
+    if bins is not None:
+        return bins
+    if not h.is_hermitian(1e-10):
+        raise ValidationError("system Hamiltonian must be Hermitian")
+    evals, vecs = np.linalg.eigh(0.5 * (h.entries + h.entries.conj().T))
+    freq_matrix = evals[:, None] - evals[None, :]
+    scale = float(np.abs(evals).max())
+    threshold = FREQUENCY_BIN_RTOL * (scale if scale > 0 else 1.0)
+    reps, labels = _cluster_frequencies(freq_matrix.reshape(-1), threshold)
+    labels = labels.reshape(freq_matrix.shape)
+    bins = _BINS[h] = (vecs, reps[labels], labels, reps)
+    for a in bins:
+        a.setflags(write=False)
+    return bins
+
+
+class Eigenoperators(Sequence):
+    """A coupling L in the eigenbasis of H, read as its eigenoperator components.
+
+    ``vecs`` holds the eigenvectors V of H, ``omega`` the binned Bohr frequency
+    of each eigenbasis element and ``entries`` the coupling V^dag L V, less the
+    bins that were dropped. Item k is the FrequencyComponent of the k-th kept
+    bin in ascending frequency, built only when it is read; ``len()`` counts
+    the kept bins without building them.
+    """
+
+    def __init__(self, basis, bins: tuple, entries: np.ndarray, kept: np.ndarray):
+        self.basis = basis
+        self.vecs, self.omega, self._labels, self._reps = bins
+        self.entries = entries
+        self._kept = kept
+
+    def __len__(self) -> int:
+        return self._kept.size
+
+    def __getitem__(self, k: int) -> FrequencyComponent:
+        b = self._kept[k]
+        block = np.where(self._labels == b, self.entries, 0.0)
+        comp = self.vecs @ block @ self.vecs.conj().T
+        return FrequencyComponent(float(self._reps[b]), OperatorMatrix(self.basis, comp))
+
+
 def frequency_decompose(
     h: OperatorMatrix,
     coupling: Union[CouplingOperator, OperatorMatrix],
-) -> list:
+) -> Eigenoperators:
     """Split a coupling operator into eigenoperator components of H.
 
     Each component collects the matrix elements <j|L|j'> whose Bohr frequency
     nu_j - nu_j' falls into one bin (bins chain together frequencies closer
     than FREQUENCY_BIN_RTOL * max|nu|). Every element lands in exactly one
     bin, so the components sum back to the full operator; the adjoint of the
-    component at +w is the component at -w.
+    component at +w is the component at -w. A bin whose Frobenius norm is at
+    most COMPONENT_DROP_RTOL * ||L||_F is dropped: V is unitary, so the test
+    reads the same on the component V B V^dag as on its eigenbasis block B.
     """
     lam = coupling.matrix if isinstance(coupling, CouplingOperator) else coupling
     if h.basis != lam.basis:
         raise DimensionMismatchError("Hamiltonian and coupling live on different bases")
-    if not h.is_hermitian(1e-10):
-        raise ValidationError("system Hamiltonian must be Hermitian")
-    evals, vecs = np.linalg.eigh(0.5 * (h.entries + h.entries.conj().T))
+    bins = _bohr_bins(h)
+    vecs, _, labels, reps = bins
     lam_eig = vecs.conj().T @ lam.entries @ vecs
-    freq_matrix = evals[:, None] - evals[None, :]
-    scale = float(np.abs(evals).max())
-    threshold = FREQUENCY_BIN_RTOL * (scale if scale > 0 else 1.0)
-    reps, labels = _cluster_frequencies(freq_matrix.reshape(-1), threshold)
-    labels = labels.reshape(freq_matrix.shape)
-
-    drop_scale = float(np.abs(lam.entries).max())
-    components = []
-    for k, f in enumerate(reps):
-        block = np.where(labels == k, lam_eig, 0.0)
-        comp = vecs @ block @ vecs.conj().T
-        if drop_scale > 0 and np.abs(comp).max() <= COMPONENT_DROP_RTOL * drop_scale:
-            continue
-        components.append(FrequencyComponent(float(f), OperatorMatrix(h.basis, comp)))
-    return components
+    norms = np.sqrt(np.bincount(labels.reshape(-1), np.abs(lam_eig.reshape(-1)) ** 2,
+                                minlength=reps.size))
+    kept = norms > COMPONENT_DROP_RTOL * np.linalg.norm(lam.entries)
+    lam_eig[~kept[labels]] = 0.0
+    lam_eig.setflags(write=False)
+    return Eigenoperators(h.basis, bins, lam_eig, np.flatnonzero(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +350,18 @@ def _filtered_operators(bath: BathSpec, h: OperatorMatrix):
     """(L_i, Lambda_i, Theta_i) for every coupling i (see the module docstring)."""
     if bath.basis != h.basis:
         raise DimensionMismatchError("bath and Hamiltonian live on different bases")
-    comps = [frequency_decompose(h, c) for c in bath.couplings]
+    parts = [frequency_decompose(h, c) for c in bath.couplings]
+    vecs, omega = parts[0].vecs, parts[0].omega
+    back = vecs.conj().T
+    thermal = thermal_factor(bath.beta, omega)
     for i, coupling in enumerate(bath.couplings):
-        lambda_i = np.zeros((h.dim, h.dim), dtype=complex)
-        theta_i = np.zeros((h.dim, h.dim), dtype=complex)
-        for ip in range(len(bath.couplings)):
+        filtered = np.zeros((h.dim, h.dim), dtype=complex)
+        for ip, part in enumerate(parts):
             dens = bath.density(ip, i)
-            for comp in comps[ip]:
-                j = float(dens.value(comp.omega))
-                lambda_i += j * comp.matrix.entries
-                theta_i += (j * thermal_factor(bath.beta, comp.omega)) * comp.matrix.entries
-        yield coupling.matrix.entries, lambda_i, theta_i
+            if dens != ZERO_DENSITY:
+                filtered += dens.value(omega) * part.entries
+        yield (coupling.matrix.entries, vecs @ filtered @ back,
+               vecs @ (thermal * filtered) @ back)
 
 
 def _relaxation_super(l: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._blas import one_thread
 from .bloch_redfield import (
     BathSpec,
     CouplingOperator,
@@ -485,7 +486,8 @@ def _neg_log_slope(t: np.ndarray, y: np.ndarray):
 def _bootstrap_slopes(run: PerturbativeRun, idx: np.ndarray):
     """(w11, w01) slopes of N_BOOTSTRAP resamples of the trajectory batches over
     the times ``idx``. Each resample's curve is built in one array, in place: the
-    complex mean of a1 is freed once its magnitude is taken."""
+    complex mean of a1 is freed once its magnitude is taken. The products run on
+    one BLAS thread, whose bits do not follow the host's CPU count."""
     rng = np.random.default_rng(np.random.SeedSequence((run.process.seed, 0xB007)))
     b = run.n_batches
     picks = rng.integers(0, b, size=(N_BOOTSTRAP, b))
@@ -493,15 +495,16 @@ def _bootstrap_slopes(run: PerturbativeRun, idx: np.ndarray):
     weights = np.bincount(picks.ravel(), minlength=N_BOOTSTRAP * b).reshape(N_BOOTSTRAP, b) / b
     tw = run.times[idx]
 
-    rho11_rs = weights @ run.batch_mean_abs_a1_sq[:, idx]
-    rho11_rs /= 0.5
-    w11_rs = _neg_log_slope(tw, rho11_rs)
-    del rho11_rs
-    mean_a1_rs = weights @ run.batch_mean_a1[:, idx]
-    abs_rho01_rs = np.abs(mean_a1_rs)
-    del mean_a1_rs
-    abs_rho01_rs *= math.sqrt(2.0)
-    return w11_rs, _neg_log_slope(tw, abs_rho01_rs)
+    with one_thread():
+        rho11_rs = weights @ run.batch_mean_abs_a1_sq[:, idx]
+        rho11_rs /= 0.5
+        w11_rs = _neg_log_slope(tw, rho11_rs)
+        del rho11_rs
+        mean_a1_rs = weights @ run.batch_mean_a1[:, idx]
+        abs_rho01_rs = np.abs(mean_a1_rs)
+        del mean_a1_rs
+        abs_rho01_rs *= math.sqrt(2.0)
+        return w11_rs, _neg_log_slope(tw, abs_rho01_rs)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.linalg import expm as reference_expm
 from scipy.signal import lfilter
 
-from spinkinetics import NumericalError, liouville, stochastic
+from spinkinetics import NumericalError, bloch_redfield, liouville, stochastic
+from spinkinetics._blas import one_thread
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -76,6 +77,51 @@ def reference_rk_propagate(l, rho0, times):
         raise NumericalError(f"Runge-Kutta integration failed: {sol.message}")
     states = liouville._density_stack(sol.y.T.reshape(t.size, n, n), t)
     return liouville.Propagation(l.basis, t, states)
+
+
+# ---------------------------------------------------------------------------
+# Redfield references: one checked matrix per eigenoperator component
+# ---------------------------------------------------------------------------
+
+def reference_frequency_decompose(h, lam):
+    """bloch_redfield.frequency_decompose as a list of FrequencyComponents, each
+    built as V B V^dag from its eigenbasis block B, H diagonalised on every
+    call, and a component dropped when its largest entry is at most
+    COMPONENT_DROP_RTOL of the coupling's: the form the eigenbasis decomposition
+    replaced."""
+    evals, vecs = np.linalg.eigh(0.5 * (h.entries + h.entries.conj().T))
+    lam_eig = vecs.conj().T @ lam.entries @ vecs
+    freq_matrix = evals[:, None] - evals[None, :]
+    scale = float(np.abs(evals).max())
+    threshold = bloch_redfield.FREQUENCY_BIN_RTOL * (scale if scale > 0 else 1.0)
+    reps, labels = bloch_redfield._cluster_frequencies(freq_matrix.reshape(-1), threshold)
+    labels = labels.reshape(freq_matrix.shape)
+    drop_scale = float(np.abs(lam.entries).max())
+    components = []
+    for k, f in enumerate(reps):
+        comp = vecs @ np.where(labels == k, lam_eig, 0.0) @ vecs.conj().T
+        if drop_scale > 0 and np.abs(comp).max() <= bloch_redfield.COMPONENT_DROP_RTOL * drop_scale:
+            continue
+        components.append(bloch_redfield.FrequencyComponent(
+            float(f), liouville.OperatorMatrix(h.basis, comp)))
+    return components
+
+
+def reference_filtered_operators(bath, h):
+    """(L_i, Lambda_i, Theta_i) summed one eigenoperator component at a time over
+    the components of :func:`reference_frequency_decompose`: the loop that the
+    eigenbasis (Hadamard-product) assembly replaced."""
+    comps = [reference_frequency_decompose(h, c.matrix) for c in bath.couplings]
+    for i, coupling in enumerate(bath.couplings):
+        lambda_i = np.zeros((h.dim, h.dim), dtype=complex)
+        theta_i = np.zeros((h.dim, h.dim), dtype=complex)
+        for ip in range(len(bath.couplings)):
+            dens = bath.density(ip, i)
+            for comp in comps[ip]:
+                j = float(dens.value(comp.omega))
+                lambda_i += j * comp.matrix.entries
+                theta_i += (j * bloch_redfield.thermal_factor(bath.beta, comp.omega)) * comp.matrix.entries
+        yield coupling.matrix.entries, lambda_i, theta_i
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +296,9 @@ def reference_einsum_correlation(paths):
 
 
 def reference_bootstrap_slopes(run, idx):
-    """stochastic._bootstrap_slopes with a new array for each step of each curve:
-    the form whose bits the in-place bootstrap must reproduce."""
+    """stochastic._bootstrap_slopes with a new array for each step of each curve,
+    on one BLAS thread as the package runs it: the form whose bits the in-place
+    bootstrap must reproduce."""
     rng = np.random.default_rng(np.random.SeedSequence((run.process.seed, 0xB007)))
     b = run.n_batches
     n = stochastic.N_BOOTSTRAP
@@ -259,8 +306,9 @@ def reference_bootstrap_slopes(run, idx):
     picks += b * np.arange(n)[:, None]
     weights = np.bincount(picks.ravel(), minlength=n * b).reshape(n, b) / b
     tw = run.times[idx]
-    rho11_rs = (weights @ run.batch_mean_abs_a1_sq[:, idx]) / 0.5
-    mean_a1_rs = weights @ run.batch_mean_a1[:, idx]
-    abs_rho01_rs = np.abs(mean_a1_rs) * math.sqrt(2.0)
-    return (stochastic._slope(tw, -np.log(rho11_rs)),
-            stochastic._slope(tw, -np.log(abs_rho01_rs)))
+    with one_thread():
+        rho11_rs = (weights @ run.batch_mean_abs_a1_sq[:, idx]) / 0.5
+        mean_a1_rs = weights @ run.batch_mean_a1[:, idx]
+        abs_rho01_rs = np.abs(mean_a1_rs) * math.sqrt(2.0)
+        return (stochastic._slope(tw, -np.log(rho11_rs)),
+                stochastic._slope(tw, -np.log(abs_rho01_rs)))

@@ -10,12 +10,17 @@ from _util import random_hermitian
 from spinkinetics import (
     BasisLabel,
     DensityMatrix,
+    NoiseKind,
+    NoiseProcess,
     OperatorMatrix,
     Superoperator,
     assemble_generator,
+    extract_rates,
     infinite_time_integral,
     liouville,
+    perturbative_amplitudes,
     propagate,
+    stochastic,
 )
 from spinkinetics._blas import THREADED_DIM, one_thread, threads
 
@@ -69,6 +74,11 @@ class TestOneThread:
         with one_thread(THREADED_DIM - 1):
             assert counts() == {2}
 
+    def test_a_block_without_a_size_runs_on_one_thread(self):
+        with one_thread():
+            assert counts() == {1}
+        assert counts() == {2}
+
     def test_a_failing_block_restores_the_count(self):
         with pytest.raises(ZeroDivisionError), one_thread(THREADED_DIM):
             1 / 0
@@ -97,6 +107,23 @@ class TestOneThread:
         release.set()
         worker.join(10)
         assert counts() == {2}
+
+
+@pytest.mark.usefixtures("two_threads")
+def test_the_bootstrap_products_run_on_one_thread(monkeypatch):
+    noise = NoiseProcess(NoiseKind.ORNSTEIN_UHLENBECK, variance=1e18, tau_c=1e-13, seed=3)
+    run = perturbative_amplitudes(noise, 1e13, 6e-12, n_traj=64)
+    seen = []
+    slope = stochastic._neg_log_slope
+
+    def recorded(t, y):
+        seen.append(counts())
+        return slope(t, y)
+
+    monkeypatch.setattr(stochastic, "_neg_log_slope", recorded)
+    extract_rates(run)
+    assert seen == [{1}, {1}]
+    assert counts() == {2}
 
 
 @pytest.mark.usefixtures("two_threads")

@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from _util import hermiticity_defect_sample, random_density, random_hermitian
+from _util import (
+    hermiticity_defect_sample,
+    random_density,
+    random_hermitian,
+    reference_filtered_operators,
+    reference_frequency_decompose,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +28,11 @@ from spinkinetics import (
     thermal_part,
     validity_check,
 )
-from spinkinetics.bloch_redfield import FREQUENCY_BIN_RTOL, _cluster_frequencies
+from spinkinetics.bloch_redfield import (
+    FREQUENCY_BIN_RTOL,
+    _cluster_frequencies,
+    _filtered_operators,
+)
 from spinkinetics.three_state import THREE_STATE_BASIS, ThreeStateParams, build_bath
 
 B4 = BasisLabel(("a", "b", "c", "d"))
@@ -350,7 +360,8 @@ def baths(draw):
     m = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     basis = BasisLabel(tuple(f"s{k}" for k in range(n)))
-    u = _random_unitary(n, rng)
+    # unrotated, repeated levels stay exactly degenerate
+    u = _random_unitary(n, rng) if draw(st.booleans()) else np.eye(n)
     h = OperatorMatrix(basis, u @ np.diag(draw(_levels(n))) @ u.conj().T)
     couplings = [
         CouplingOperator(f"c{k}", OperatorMatrix(basis, random_hermitian(n, rng)), k)
@@ -425,6 +436,81 @@ class TestAssemblyProperties:
         h, bath = build_bath(_transverse_params(beta=beta))
         part_a, part_b = _reference_parts(bath, h)
         assert np.array_equal(relaxation_supermatrix(bath, h).matrix, 0.5 * (part_a + part_b))
+
+
+def _fixtures():
+    """(H, coupling) pairs of the three-state model and of 4-level spectra."""
+    rng = np.random.default_rng(22)
+    for p in (_transverse_params(), _transverse_params(beta=math.inf),
+              ThreeStateParams(omega0=0.0, omega_s=1e9, beta=1e-9, transverse=WhiteNoise(1e8),
+                               splitting=Lorentzian(5e16, 1e-10), isotropic=True)):
+        h, bath = build_bath(p)
+        yield from ((h, c.matrix) for c in bath.couplings)
+    yield OperatorMatrix(B4, np.eye(4)), OperatorMatrix(B4, random_hermitian(4, rng))
+    yield (OperatorMatrix(B4, np.diag([0.0, 0.6e-9, 1.2e-9, 1.0])),
+           OperatorMatrix(B4, random_hermitian(4, rng)))
+    for _ in range(3):
+        yield (OperatorMatrix(B4, random_hermitian(4, rng, scale=3.0)),
+               OperatorMatrix(B4, random_hermitian(4, rng)))
+
+
+class TestEigenbasisAssembly:
+    @_PROPERTY
+    @given(baths())
+    def test_filtered_operators_match_the_component_loop(self, hb):
+        h, bath = hb
+        pairs = zip(_filtered_operators(bath, h), reference_filtered_operators(bath, h),
+                    strict=True)
+        for (l, lam, theta), (l_ref, lam_ref, theta_ref) in pairs:
+            assert np.array_equal(l, l_ref)
+            assert _close(lam, lam_ref)
+            assert _close(theta, theta_ref)
+
+    @_PROPERTY
+    @given(baths())
+    def test_length_counts_the_items_and_the_eigenbasis_holds_their_sum(self, hb):
+        h, bath = hb
+        for coupling in bath.couplings:
+            parts = frequency_decompose(h, coupling)
+            items = list(parts)
+            assert len(parts) == len(items) >= 1
+            assert parts[-1].omega == items[-1].omega
+            total = sum(c.matrix.entries for c in items)
+            assert _close(parts.vecs @ parts.entries @ parts.vecs.conj().T, total)
+            assert set(np.unique(parts.omega)) >= {c.omega for c in items}
+
+    def test_items_equal_the_per_component_list(self):
+        for h, lam in _fixtures():
+            parts = frequency_decompose(h, lam)
+            ref = reference_frequency_decompose(h, lam)
+            assert [c.omega for c in parts] == [c.omega for c in ref]
+            for got, want in zip(parts, ref, strict=True):
+                assert np.array_equal(got.matrix.entries, want.matrix.entries)
+
+    def test_the_decomposition_is_read_only(self):
+        h, bath = build_bath(_transverse_params())
+        parts = frequency_decompose(h, bath.couplings[0])
+        for a in (parts.vecs, parts.omega, parts.entries):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_eigh_runs_once_per_hamiltonian(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        p = ThreeStateParams(omega0=0.0, omega_s=1e9, beta=1e-9, transverse=Lorentzian(1e17, 1e-10),
+                             splitting=Lorentzian(5e16, 1e-10), isotropic=True)
+        h, bath = build_bath(p)
+        for assemble in (relaxation_supermatrix, double_commutator_part, thermal_part):
+            assemble(bath, h)
+        assert len(bath.couplings) == 4 and len(calls) == 1
+        relaxation_supermatrix(bath, build_bath(p)[0])
+        assert len(calls) == 2
 
 
 @st.composite

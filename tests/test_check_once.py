@@ -1,10 +1,11 @@
 """A value is checked where it enters the package, not again downstream.
 
 The counts are of calls, not of time: one three-state point measures each
-coupling once (in CouplingOperator), H once per coupling (in
-frequency_decompose) and the initial state once; the radical-pair reaction
-superoperator is built from fixed projectors and measures nothing, and is
-summed on raw arrays, so each build checks one finished matrix. A radical-pair
+coupling once (in CouplingOperator), H once (in frequency_decompose, which
+keeps its diagonalisation per Hamiltonian) and the initial state once; the
+radical-pair reaction superoperator is built from fixed projectors and
+measures nothing, and is summed on raw arrays, so each build checks one
+finished matrix. A radical-pair
 run builds it three times, once per generator: its rates are read off the
 model, and the validity check builds one more only when it has a tau_c.
 A propagation on a linspace grid computes one matrix exponential.
@@ -51,6 +52,18 @@ def test_one_three_state_point_measures_hermiticity_at_most_nine_times(defect_ca
     relaxation_supermatrix(bath, h)
     DensityMatrix.pure(THREE_STATE_BASIS, [0, 1, 0])
     assert len(defect_calls) <= 9
+
+
+def test_one_three_state_point_measures_each_coupling_h_and_the_state_once(defect_calls):
+    spectrum = Lorentzian(amplitude=1e17, tau_c=1e-10)
+    p = ThreeStateParams(omega0=0.0, omega_s=1e9, beta=1e-9, transverse=spectrum,
+                         splitting=Lorentzian(amplitude=5e16, tau_c=1e-10), isotropic=True)
+    h, bath = build_bath(p)
+    assert len(defect_calls) == 4  # x, y, z and 0-1 couplings
+    relaxation_supermatrix(bath, h)
+    assert len(defect_calls) == 5  # H, once for its four couplings
+    DensityMatrix.pure(THREE_STATE_BASIS, [0, 1, 0])
+    assert len(defect_calls) == 6
 
 
 @pytest.mark.parametrize("model", [ReactionModel.haberkorn(2.0, 1.0),
