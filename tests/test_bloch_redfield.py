@@ -431,6 +431,25 @@ class TestAssemblyProperties:
                     lam
                 ).max()
 
+    @_PROPERTY
+    @given(baths())
+    def test_population_rates_obey_detailed_balance(self, hb):
+        # W(j<-k) = exp(-beta (nu_j - nu_k)) W(k<-j) for nu_j > nu_k, read at
+        # the binned Bohr frequency that the thermal factor sees. The tolerance
+        # scales with max|R|, not with the uphill rate J (1 - tanh) / 2, which
+        # loses digits to cancellation at large beta (nu_j - nu_k).
+        h, bath = hb
+        n = h.dim
+        parts = frequency_decompose(h, bath.couplings[0])
+        u = np.kron(parts.vecs, parts.vecs.conj())  # vec(rho) = u vec(V^dag rho V)
+        r = u.conj().T @ relaxation_supermatrix(bath, h).matrix @ u
+        tol = 1e-12 * np.abs(r).max()
+        for j, k in zip(*np.nonzero(parts.omega > 0)):
+            uphill, downhill = r[j * n + j, k * n + k], r[k * n + k, j * n + j]
+            assert abs(uphill - math.exp(-bath.beta * parts.omega[j, k]) * downhill) <= tol
+            if math.isinf(bath.beta):
+                assert abs(uphill) <= tol
+
     @pytest.mark.parametrize("beta", [0.0, 1e-9, math.inf])
     def test_three_state_bath_matches_reference_exactly(self, beta):
         h, bath = build_bath(_transverse_params(beta=beta))
