@@ -48,14 +48,9 @@ from .liouville import (
     OperatorMatrix,
     Propagation,
     Superoperator,
-    anticommutator_super,
     assemble_generator,
-    commutator_super,
-    conjugation_super,
     infinite_time_integral,
-    projector_dephasing_super,
     propagate,
-    sandwich_super,
 )
 from .radical_pair import (
     PAIR_BASIS,
@@ -71,7 +66,6 @@ from .radical_pair import (
     rate_elements,
     reaction_supermatrix,
     recombination_yields,
-    st_dephasing_super,
 )
 from .stochastic import (
     ClosedLoopReport,

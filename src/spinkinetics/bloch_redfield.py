@@ -13,6 +13,13 @@ with V the eigenvectors of H, W the matrix of its Bohr frequencies
 nu_j - nu_j', binned, J_{i'i} the symmetrised bath spectra (zero cross-spectra
 are skipped) and tanh taken as sign at beta = inf. R = (R_a + R_b)/2 where
 R_a rho = sum_i [[Lambda_i, rho], L_i] and R_b rho = sum_i [L_i, [Theta_i, rho]_+].
+All three are one formula over the coupling axis, under the kron convention
+of liouville._sandwich,
+
+    R(A, B) = sum_k (B_k x L_k^T + L_k x A_k^T) - I x (sum_k A_k L_k)^T - (sum_k L_k B_k) x I
+
+at (A, B) = (Lambda, Lambda), (Theta, -Theta) and (Lambda + Theta, Lambda - Theta)/2:
+one sandwich over a stacked axis of length 2m and two of one-sided sums.
 Detailed balance enters only through the tanh factor, so the spectra are even
 in frequency. Frequency (Lamb-type) shifts are dropped: only the real
 relaxation rates are produced.
@@ -347,50 +354,46 @@ def frequency_decompose(
 # ---------------------------------------------------------------------------
 
 def _filtered_operators(bath: BathSpec, h: OperatorMatrix):
-    """(L_i, Lambda_i, Theta_i) for every coupling i (see the module docstring)."""
+    """(L, Lambda, Theta) as (m, N, N) stacks over the m couplings (see the module docstring)."""
     if bath.basis != h.basis:
         raise DimensionMismatchError("bath and Hamiltonian live on different bases")
     parts = [frequency_decompose(h, c) for c in bath.couplings]
     vecs, omega = parts[0].vecs, parts[0].omega
-    back = vecs.conj().T
-    thermal = thermal_factor(bath.beta, omega)
-    for i, coupling in enumerate(bath.couplings):
-        filtered = np.zeros((h.dim, h.dim), dtype=complex)
+    filtered = np.zeros((len(parts), h.dim, h.dim), dtype=complex)
+    for i, f in enumerate(filtered):
         for ip, part in enumerate(parts):
             dens = bath.density(ip, i)
             if dens != ZERO_DENSITY:
-                filtered += dens.value(omega) * part.entries
-        yield (coupling.matrix.entries, vecs @ filtered @ back,
-               vecs @ (thermal * filtered) @ back)
+                f += dens.value(omega) * part.entries
+    back = vecs.conj().T
+    return (np.array([c.matrix.entries for c in bath.couplings]), vecs @ filtered @ back,
+            vecs @ (thermal_factor(bath.beta, omega) * filtered) @ back)
 
 
-def _relaxation_super(l: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Supermatrix of rho -> B rho L + L rho A - rho A L - L B rho.
-
-    R_a, R_b and R are its sums over couplings at (A, B) = (Lambda, Lambda),
-    (Theta, -Theta) and (Lambda + Theta, Lambda - Theta) / 2.
-    """
-    eye = np.eye(l.shape[0])
-    return _sandwich(b, l) + _sandwich(l, a) - _sandwich(eye, a @ l) - _sandwich(l @ b, eye)
+def _relaxation(h: OperatorMatrix, l: np.ndarray, a: np.ndarray, b: np.ndarray) -> Superoperator:
+    """R(A, B) of the module docstring from (m, N, N) stacks of L, A and B."""
+    eye = np.eye(h.dim)
+    r = (_sandwich(np.concatenate((b, l)), np.concatenate((l, a)))
+         - _sandwich(eye, (a @ l).sum(axis=0)) - _sandwich((l @ b).sum(axis=0), eye))
+    return Superoperator(h.basis, r)
 
 
 def double_commutator_part(bath: BathSpec, h: OperatorMatrix) -> Superoperator:
     """The temperature-independent half: sum_i [[Lambda_i, rho], L_i]."""
-    ops = _filtered_operators(bath, h)
-    return Superoperator(h.basis, sum(_relaxation_super(l, lm, lm) for l, lm, _ in ops))
+    l, lam, _ = _filtered_operators(bath, h)
+    return _relaxation(h, l, lam, lam)
 
 
 def thermal_part(bath: BathSpec, h: OperatorMatrix) -> Superoperator:
     """The detailed-balance half: sum_i [L_i, [Theta_i, rho]_+]."""
-    ops = _filtered_operators(bath, h)
-    return Superoperator(h.basis, sum(_relaxation_super(l, th, -th) for l, _, th in ops))
+    l, _, th = _filtered_operators(bath, h)
+    return _relaxation(h, l, th, -th)
 
 
 def relaxation_supermatrix(bath: BathSpec, h: OperatorMatrix) -> Superoperator:
     """Full relaxation generator: half the sum of the two parts."""
-    ops = _filtered_operators(bath, h)
-    r = sum(_relaxation_super(l, lm + th, lm - th) for l, lm, th in ops)
-    return Superoperator(h.basis, 0.5 * r)
+    l, lam, th = _filtered_operators(bath, h)
+    return _relaxation(h, l, 0.5 * (lam + th), 0.5 * (lam - th))
 
 
 # ---------------------------------------------------------------------------

@@ -187,15 +187,6 @@ class Superoperator:
         self.basis = basis
         self.matrix = _freeze(matrix)
 
-    @classmethod
-    def zero(cls, basis: BasisLabel) -> "Superoperator":
-        d2 = basis.dim * basis.dim
-        return cls(basis, np.zeros((d2, d2)))
-
-    @classmethod
-    def identity(cls, basis: BasisLabel) -> "Superoperator":
-        return cls(basis, np.eye(basis.dim * basis.dim))
-
     @property
     def dim(self) -> int:
         return self.basis.dim
@@ -217,19 +208,6 @@ class Superoperator:
         with one_thread(self.matrix.shape[0]):
             return float(np.linalg.norm(self.matrix, 2))
 
-    def __add__(self, other):
-        _check_same_basis(self, other, "add")
-        return Superoperator(self.basis, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        _check_same_basis(self, other, "subtract")
-        return Superoperator(self.basis, self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return Superoperator(self.basis, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"Superoperator(basis={self.basis.names}, dim={self.dim})"
 
@@ -239,25 +217,20 @@ class Superoperator:
 # ---------------------------------------------------------------------------
 
 def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Supermatrix of rho -> a rho b under row-major vectorisation: kron(a, b.T)."""
-    n = a.shape[0]
+    """Supermatrix of rho -> a rho b under row-major vectorisation: kron(a, b.T).
+
+    (k, N, N) stacks give the sum over k, in einsum's own loop (optimize=False,
+    never BLAS), so its bits do not follow the thread count.
+    """
+    n = a.shape[-1]
+    if a.ndim == 3:
+        return np.einsum("kij,kml->iljm", a, b).reshape(n * n, n * n)
     return (a[:, None, :, None] * b.T[None, :, None, :]).reshape(n * n, n * n)
-
-
-def conjugation_super(a: OperatorMatrix, b: OperatorMatrix) -> Superoperator:
-    """rho -> A rho B."""
-    _check_same_basis(a, b, "conjugation_super")
-    return Superoperator(a.basis, _sandwich(a.entries, b.entries))
 
 
 def _commutator(a: np.ndarray) -> np.ndarray:
     eye = np.eye(a.shape[0])
     return _sandwich(a, eye) - _sandwich(eye, a)
-
-
-def commutator_super(a: OperatorMatrix) -> Superoperator:
-    """rho -> A rho - rho A."""
-    return Superoperator(a.basis, _commutator(a.entries))
 
 
 def _anticommutator(a: np.ndarray) -> np.ndarray:
@@ -266,27 +239,13 @@ def _anticommutator(a: np.ndarray) -> np.ndarray:
 
 
 def _projector_dephasing(p: np.ndarray) -> np.ndarray:
-    # complex scalars, as Superoperator's * multiplies, keep every bit of the sum
-    return _anticommutator(p) * complex(0.5) - _sandwich(p, p)
-
-
-def anticommutator_super(a: OperatorMatrix) -> Superoperator:
-    """rho -> A rho + rho A."""
-    return Superoperator(a.basis, _anticommutator(a.entries))
-
-
-def sandwich_super(a: OperatorMatrix) -> Superoperator:
-    """rho -> A rho A."""
-    return conjugation_super(a, a)
-
-
-def projector_dephasing_super(p: OperatorMatrix) -> Superoperator:
     """Lindblad-form dephasing across the P / (1 - P) split.
 
     rho -> (1/2)[P, rho]_+ - P rho P, identically (1/2)(P rho Q + Q rho P)
     with Q = 1 - P. Trace free; kills nothing inside either block.
     """
-    return Superoperator(p.basis, _projector_dephasing(p.entries))
+    # the complex scalar keeps the bits the radical-pair golden series were written with
+    return _anticommutator(p) * complex(0.5) - _sandwich(p, p)
 
 
 def assemble_generator(

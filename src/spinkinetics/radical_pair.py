@@ -143,11 +143,6 @@ class ReactionModel:
         return cls(0.0, 0.0, kappa_d, ReactionVariant.DEPHASING_ONLY)
 
 
-def st_dephasing_super() -> Superoperator:
-    """Pure ST dephasing operator D_S: rho -> (P_S rho P_T + P_T rho P_S)/2."""
-    return Superoperator(PAIR_BASIS, _projector_dephasing(_P_S.entries))
-
-
 def reaction_supermatrix(m: ReactionModel) -> Superoperator:
     """Positive-decay reaction superoperator K (rho-dot contains -K rho)."""
     k = _anticommutator(_P_S.entries) * complex(0.5 * m.kappa_s)

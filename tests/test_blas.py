@@ -60,7 +60,7 @@ def generator(n, decay=0.0):
     """-i[H, .] - decay on an n-state basis: an n^2 x n^2 supermatrix."""
     basis = BasisLabel(tuple(f"s{i}" for i in range(n)))
     h = OperatorMatrix(basis, random_hermitian(n, np.random.default_rng(n)), hermitian=True)
-    return assemble_generator(h) - decay * Superoperator.identity(basis)
+    return Superoperator(basis, assemble_generator(h).matrix - decay * np.eye(n * n))
 
 
 @pytest.mark.usefixtures("two_threads")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,25 @@ from spinkinetics.bloch_redfield import (
 from spinkinetics.three_state import THREE_STATE_BASIS, ThreeStateParams, build_bath
 
 B4 = BasisLabel(("a", "b", "c", "d"))
+
+#: writes the bytes of the relaxation supermatrix of a seeded N=16 system with
+#: three couplings to stdout
+_ASSEMBLE_N16 = """
+import sys
+import numpy as np
+from spinkinetics import (BasisLabel, BathSpec, CouplingOperator, Lorentzian, OperatorMatrix,
+                          relaxation_supermatrix)
+rng = np.random.default_rng(16)
+basis = BasisLabel(tuple(f"s{k}" for k in range(16)))
+def hermitian(scale):
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    return OperatorMatrix(basis, scale * (a + a.conj().T))
+h = hermitian(1e9)
+couplings = [CouplingOperator(f"c{k}", hermitian(1.0), k) for k in range(3)]
+densities = [Lorentzian(1e17 * (k + 1), 1e-10) for k in range(3)]
+bath = BathSpec.uncorrelated(couplings, densities, beta=1e-9)
+sys.stdout.buffer.write(relaxation_supermatrix(bath, h).matrix.tobytes())
+"""
 
 
 class TestSpectralDensities:
@@ -242,16 +265,29 @@ class TestAssembly:
         assert abs(np.trace(r.apply(rho))) < 1e-12 * r.norm()
 
 
+def test_assembly_bits_do_not_follow_the_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for count in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": count,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _ASSEMBLE_N16], env=env,
+                              capture_output=True, timeout=120, check=True)
+        outputs.append(done.stdout)
+    assert len(outputs[0]) == 256 * 256 * 16
+    assert outputs[0] == outputs[1]
+
+
 class TestValidityCheck:
     def test_thresholds(self):
         basis = THREE_STATE_BASIS
         from spinkinetics import Superoperator
 
-        zero = Superoperator.zero(basis)
+        zero = Superoperator(basis, np.zeros((9, 9)))
         report = validity_check(zero, 1e-13)
         assert report.ratio == 0.0 and report.passes and report.strong_pass
 
-        half = 0.5e13 * Superoperator.identity(basis)
+        half = Superoperator(basis, 0.5e13 * np.eye(9))
         report = validity_check(half, 1e-13)
         assert report.ratio == pytest.approx(0.5)
         assert not report.passes and not report.strong_pass
@@ -268,7 +304,7 @@ class TestValidityCheck:
         from spinkinetics import Superoperator
 
         with pytest.raises(ValidationError):
-            validity_check(Superoperator.zero(THREE_STATE_BASIS), 0.0)
+            validity_check(Superoperator(THREE_STATE_BASIS, np.zeros((9, 9))), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +514,7 @@ class TestEigenbasisAssembly:
     @given(baths())
     def test_filtered_operators_match_the_component_loop(self, hb):
         h, bath = hb
-        pairs = zip(_filtered_operators(bath, h), reference_filtered_operators(bath, h),
+        pairs = zip(zip(*_filtered_operators(bath, h)), reference_filtered_operators(bath, h),
                     strict=True)
         for (l, lam, theta), (l_ref, lam_ref, theta_ref) in pairs:
             assert np.array_equal(l, l_ref)

@@ -23,18 +23,21 @@ from spinkinetics import (
     OperatorMatrix,
     Superoperator,
     ValidationError,
-    anticommutator_super,
     assemble_generator,
-    commutator_super,
-    conjugation_super,
     infinite_time_integral,
-    projector_dephasing_super,
     propagate,
     relaxation_supermatrix,
-    sandwich_super,
     validity_check,
 )
-from spinkinetics.liouville import STEP_RTOL, _expm_steps, _sandwich, vectorize
+from spinkinetics.liouville import (
+    STEP_RTOL,
+    _anticommutator,
+    _commutator,
+    _expm_steps,
+    _projector_dephasing,
+    _sandwich,
+    vectorize,
+)
 
 B3 = BasisLabel(("0", "1", "2"))
 B4 = BasisLabel(("a", "b", "c", "d"))
@@ -68,7 +71,7 @@ class TestBasis:
 
 class TestConstructors:
     def test_commutator_with_identity_is_zero(self):
-        sup = commutator_super(op(B3, np.eye(3)))
+        sup = Superoperator(B3, _commutator(np.eye(3)))
         assert np.abs(sup.matrix).max() == 0.0
 
     def test_commutator_diagonal_gives_transition_frequency(self):
@@ -76,7 +79,7 @@ class TestConstructors:
         h = op(B3, np.diag([omega0, 0.5 * omega_s, -0.5 * omega_s]))
         rho = np.zeros((3, 3), dtype=complex)
         rho[0, 1] = 1.0
-        out = commutator_super(h).apply(rho)
+        out = Superoperator(B3, _commutator(h.entries)).apply(rho)
         assert out[0, 1] == pytest.approx(omega0 - 0.5 * omega_s, rel=1e-14)
         out[0, 1] = 0.0
         assert np.abs(out).max() == 0.0
@@ -87,19 +90,19 @@ class TestConstructors:
             a = random_hermitian(4, rng)
             rho = random_density(4, rng)
             direct = a @ rho - rho @ a
-            assert np.abs(commutator_super(op(B4, a)).apply(rho) - direct).max() < 1e-13
+            assert np.abs(Superoperator(B4, _commutator(a)).apply(rho) - direct).max() < 1e-13
 
     def test_anticommutator_identity_doubles(self):
         rng = np.random.default_rng(4)
         rho = random_density(3, rng)
-        out = anticommutator_super(op(B3, np.eye(3))).apply(rho)
+        out = Superoperator(B3, _anticommutator(np.eye(3))).apply(rho)
         assert np.abs(out - 2 * rho).max() < 1e-15
 
     def test_anticommutator_one_sided_projection(self):
         p0 = np.diag([1.0, 0.0, 0.0])
         rho = np.zeros((3, 3), dtype=complex)
         rho[0, 1] = 1.0  # |0><1|: projector acts from the left only
-        out = anticommutator_super(op(B3, p0)).apply(rho)
+        out = Superoperator(B3, _anticommutator(p0)).apply(rho)
         assert np.abs(out - rho).max() < 1e-15
 
     def test_anticommutator_matches_direct_product(self):
@@ -107,30 +110,30 @@ class TestConstructors:
         a = random_hermitian(4, rng)
         rho = random_density(4, rng)
         direct = a @ rho + rho @ a
-        assert np.abs(anticommutator_super(op(B4, a)).apply(rho) - direct).max() < 1e-13
+        assert np.abs(Superoperator(B4, _anticommutator(a)).apply(rho) - direct).max() < 1e-13
 
     def test_sandwich_identity_is_identity(self):
-        sup = sandwich_super(op(B3, np.eye(3)))
+        sup = Superoperator(B3, _sandwich(np.eye(3), np.eye(3)))
         assert np.abs(sup.matrix - np.eye(9)).max() == 0.0
 
     def test_sandwich_projector_keeps_projected_state(self):
         p1 = np.diag([0.0, 1.0, 0.0])
         rho = np.diag([0.0, 1.0, 0.0]).astype(complex)
-        out = sandwich_super(op(B3, p1)).apply(rho)
+        out = Superoperator(B3, _sandwich(p1, p1)).apply(rho)
         assert np.abs(out - rho).max() < 1e-15
 
     def test_sandwich_matches_direct_product(self):
         rng = np.random.default_rng(6)
         a = random_hermitian(4, rng)
         rho = random_density(4, rng)
-        assert np.abs(sandwich_super(op(B4, a)).apply(rho) - a @ rho @ a).max() < 1e-13
+        assert np.abs(Superoperator(B4, _sandwich(a, a)).apply(rho) - a @ rho @ a).max() < 1e-13
 
     def test_conjugation_matches_direct_product(self):
         rng = np.random.default_rng(7)
         a = random_hermitian(4, rng)
         b = random_hermitian(4, rng)
         rho = random_density(4, rng)
-        out = conjugation_super(op(B4, a), op(B4, b)).apply(rho)
+        out = Superoperator(B4, _sandwich(a, b)).apply(rho)
         assert np.abs(out - a @ rho @ b).max() < 1e-13
 
     def test_dimension_mismatch_rejected(self):
@@ -138,8 +141,11 @@ class TestConstructors:
             OperatorMatrix(B3, np.eye(4))
 
     def test_basis_mismatch_rejected(self):
+        other = Superoperator(BasisLabel(("x", "y", "z")), np.zeros((9, 9)))
         with pytest.raises(DimensionMismatchError):
-            conjugation_super(op(B3, np.eye(3)), op(BasisLabel(("x", "y", "z")), np.eye(3)))
+            assemble_generator(op(B3, np.eye(3)), relaxers=[other])
+        with pytest.raises(DimensionMismatchError):
+            assemble_generator(op(B3, np.eye(3)), reactors=[other])
 
 
 def sandwich_operands(n):
@@ -160,19 +166,27 @@ def test_sandwich_is_kron_with_the_right_factor_transposed(n):
         assert _sandwich(a, b).tobytes() == np.kron(a, b.T).tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_a_stacked_sandwich_is_the_sum_of_its_pairs(n):
+    pairs = sandwich_operands(n)
+    stacked = _sandwich(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+    summed = sum(_sandwich(a, b) for a, b in pairs)
+    assert np.abs(stacked - summed).max() <= 1e-15 * np.abs(summed).max()
+
+
 class TestGenerator:
     def test_pure_decay_reactor(self):
         kappa = 3.5
         h = op(B3, np.zeros((3, 3)))
-        k = kappa * Superoperator.identity(B3)
+        k = Superoperator(B3, kappa * np.eye(9))
         gen = assemble_generator(h, reactors=[k])
         assert np.abs(gen.matrix + kappa * np.eye(9)).max() < 1e-14
 
     def test_generator_preserves_hermiticity(self):
         rng = np.random.default_rng(8)
         h = op(B4, random_hermitian(4, rng))
-        relaxer = projector_dephasing_super(op(B4, np.diag([1.0, 0, 0, 0])))
-        gen = assemble_generator(h, relaxers=[-2.0 * relaxer])
+        relaxer = Superoperator(B4, -2.0 * _projector_dephasing(np.diag([1.0, 0, 0, 0])))
+        gen = assemble_generator(h, relaxers=[relaxer])
         assert hermiticity_defect_sample(gen) < 1e-12
         rho = random_density(4, rng)
         out = gen.apply(rho)
@@ -193,7 +207,7 @@ class TestGenerator:
         for _ in range(5):
             a = random_hermitian(4, rng)
             rho = random_density(4, rng)
-            assert abs(np.trace(commutator_super(op(B4, a)).apply(rho))) < 1e-12
+            assert abs(np.trace(Superoperator(B4, _commutator(a)).apply(rho))) < 1e-12
 
 
 def _random_lindblad_generator(rng, basis):
@@ -201,17 +215,16 @@ def _random_lindblad_generator(rng, basis):
     n = basis.dim
     h = OperatorMatrix(basis, random_hermitian(n, rng, scale=2.0))
     l_raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    l_op = OperatorMatrix(basis, l_raw / np.linalg.norm(l_raw))
-    l_dag = OperatorMatrix(basis, l_op.entries.conj().T)
-    l_dag_l = OperatorMatrix(basis, l_dag.entries @ l_op.entries)
-    dissipator = conjugation_super(l_op, l_dag) - 0.5 * anticommutator_super(l_dag_l)
-    return assemble_generator(h, relaxers=[2.0 * dissipator])
+    l_op = l_raw / np.linalg.norm(l_raw)
+    l_dag = l_op.conj().T
+    dissipator = _sandwich(l_op, l_dag) - 0.5 * _anticommutator(l_dag @ l_op)
+    return assemble_generator(h, relaxers=[Superoperator(basis, 2.0 * dissipator)])
 
 
 class TestPropagate:
     def test_uniform_decay(self):
         kappa = 2.0
-        gen = -kappa * Superoperator.identity(B3)
+        gen = Superoperator(B3, -kappa * np.eye(9))
         rho0 = DensityMatrix.basis_state(B3, "1")
         times = np.linspace(0.1, 2.0, 8)
         prop = propagate(gen, rho0, times)
@@ -241,7 +254,7 @@ class TestPropagate:
         assert np.abs(two_steps - one_step).max() < 1e-9
 
     def test_bad_times_rejected(self):
-        gen = -1.0 * Superoperator.identity(B3)
+        gen = Superoperator(B3, -np.eye(9))
         rho0 = DensityMatrix.basis_state(B3, "0")
         with pytest.raises(ValidationError):
             propagate(gen, rho0, [0.2, 0.1])
@@ -364,7 +377,7 @@ class TestBatchedStateCheck:
 class TestInfiniteTimeIntegral:
     def test_uniform_decay_gives_rho_over_kappa(self):
         kappa = 4.0
-        gen = -kappa * Superoperator.identity(B3)
+        gen = Superoperator(B3, -kappa * np.eye(9))
         rho0 = DensityMatrix.basis_state(B3, "0")
         x = infinite_time_integral(gen, rho0)
         assert np.abs(x.entries - rho0.entries / kappa).max() < 1e-14
@@ -379,7 +392,7 @@ class TestInfiniteTimeIntegral:
         from scipy.integrate import simpson
 
         rng = np.random.default_rng(13)
-        gen = _random_lindblad_generator(rng, B3) - 1.5 * Superoperator.identity(B3)
+        gen = Superoperator(B3, _random_lindblad_generator(rng, B3).matrix - 1.5 * np.eye(9))
         rho0 = DensityMatrix(B3, random_density(3, rng))
         x = infinite_time_integral(gen, rho0)
         t = np.linspace(0.0, 20.0, 4001)

@@ -17,10 +17,9 @@ from spinkinetics import (
     rate_elements,
     reaction_supermatrix,
     recombination_yields,
-    st_dephasing_super,
 )
 from spinkinetics.radical_pair import PAIR_BASIS, generator
-from spinkinetics.liouville import propagate
+from spinkinetics.liouville import Superoperator, _projector_dephasing, propagate
 
 
 class TestProjectors:
@@ -75,7 +74,7 @@ class TestReactionSupermatrix:
     def test_st_dephasing_projector_identity(self):
         rng = np.random.default_rng(42)
         ps, pt = projectors()
-        dephaser = st_dephasing_super()
+        dephaser = Superoperator(PAIR_BASIS, _projector_dephasing(ps.entries))
         for _ in range(4):
             rho = random_density(4, rng)
             s_form = 0.5 * (ps.entries @ rho @ pt.entries + pt.entries @ rho @ ps.entries)

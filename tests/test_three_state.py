@@ -150,9 +150,9 @@ class TestProjectionLimit:
         rng = np.random.default_rng(31)
         p1 = np.diag([0.0, 1.0, 0.0]).astype(complex)
         q1 = np.eye(3) - p1
-        from spinkinetics import OperatorMatrix, projector_dephasing_super
+        from spinkinetics.liouville import Superoperator, _projector_dephasing
 
-        dephaser = projector_dephasing_super(OperatorMatrix(THREE_STATE_BASIS, p1))
+        dephaser = Superoperator(THREE_STATE_BASIS, _projector_dephasing(p1))
         for _ in range(4):
             rho = random_density(3, rng)
             direct = 0.5 * (p1 @ rho @ q1 + q1 @ rho @ p1)
