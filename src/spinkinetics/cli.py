@@ -48,6 +48,8 @@ EXIT_NUMERICAL = 4
 
 SWEEP_MAX_POINTS = 1_000_000
 SWEEP_MAX_PARAMS = 3
+#: rows of a time series formatted by one string operation
+SERIES_BLOCK_ROWS = 256
 
 
 class ConfigError(ValidationError):
@@ -623,11 +625,12 @@ def _flatten(results: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write one output file; a path that cannot be written is a config error."""
+def _write_text(path: Path, text) -> None:
+    """Write one output file from its text, or from its pieces of text in order;
+    a path that cannot be written is a config error."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise ConfigError(f"output file {str(path)!r} cannot be written: {exc}") from None
 
@@ -642,24 +645,62 @@ def _write_summary(path: Path, config: dict, results: dict, wall_time: float) ->
     _write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def _write_table(path: Path, columns, rows) -> None:
-    """The one CSV writer: the header, then a line of ``_fmt`` cells per row."""
+def _csv_text(rows) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    _write_text(path, buffer.getvalue())
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _write_table(path: Path, columns, rows) -> None:
+    """The CSV writer of mixed cells (bool, None, str, float): ``sweep.csv``.
+    The header, then a line of ``_fmt`` cells per row."""
+    lines = itertools.chain([columns], ([_fmt(v) for v in row] for row in rows))
+    _write_text(path, _csv_text(lines))
+
+
+def _series_blocks(table: np.ndarray):
+    """(row count, flat tuple of Python floats) for each block of
+    ``SERIES_BLOCK_ROWS`` rows: one block's floats are alive at a time."""
+    for start in range(0, table.shape[0], SERIES_BLOCK_ROWS):
+        block = table[start : start + SERIES_BLOCK_ROWS]
+        yield block.shape[0], tuple(block.ravel().tolist())
+
+
+def _series_pieces(columns, table: np.ndarray, fmt: str):
+    """``timeseries.csv`` (``timeseries.json`` for ``fmt`` "json") of a table of
+    at least one row, in pieces of ``SERIES_BLOCK_ROWS`` rows, each piece one
+    string-format operation.
+
+    Every cell is printed with ``%.12g``: in CSV as is, in JSON as the float it
+    reads back to, printed as ``json.dumps`` prints it, one record per row. As
+    in a dict, a repeated column keeps its first place and its last value.
+    """
+    if fmt != "json":
+        row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+        yield _csv_text([columns])
+        for n, values in _series_blocks(table):
+            yield row * n % values
+        return
+    keep = {name: i for i, name in enumerate(columns)}
+    record = "  {\n" + ",\n".join(
+        f"    {json.dumps(name).replace('%', '%%')}: %s" for name in keep) + "\n  }"
+    opening = "[\n"
+    for n, values in _series_blocks(table[:, list(keep.values())]):
+        printed = (",".join(["%.12g"] * len(values)) % values).split(",")
+        # json.dumps of a flat list runs the C encoder, which prints each float
+        # as the indenting encoder does, NaN and Infinity included
+        numbers = json.dumps(list(map(float, printed)))[1:-1].split(", ")
+        yield opening + ",\n".join([record] * n) % tuple(numbers)
+        opening = ",\n"
+    yield "\n]\n"
 
 
 def _write_series(out_dir: Path, columns, table: np.ndarray, fmt: str) -> Path:
-    rows = table.tolist()
-    if fmt == "json":
-        path = out_dir / "timeseries.json"
-        records = [dict(zip(columns, map(_round12, row))) for row in rows]
-        _write_text(path, json.dumps(records, indent=2) + "\n")
-    else:
-        path = out_dir / "timeseries.csv"
-        _write_table(path, columns, rows)
+    """Write the (n_times, n_cols) series ``table`` under ``columns`` as
+    ``timeseries.csv`` or ``timeseries.json``, a block of rows at a time; see
+    :func:`_series_pieces`."""
+    path = out_dir / ("timeseries.json" if fmt == "json" else "timeseries.csv")
+    _write_text(path, _series_pieces(columns, table, fmt))
     return path
 
 

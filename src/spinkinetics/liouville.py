@@ -327,28 +327,33 @@ def _validated_times(times) -> np.ndarray:
 
 
 def _expm_steps(generator: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(n_times, len(v0)) array of exp(generator t_k) v0, stepping time to time.
+    """(n_times, len(v0)) complex array of exp(generator t_k) v0, stepping time
+    to time.
 
     One matrix exponential per step length, within ``STEP_RTOL``: a step
     reuses the matrix of the last one computed when the two lengths agree
     within ``STEP_RTOL`` relative, so a ``linspace`` grid, whose steps differ
     by an ulp, costs one. A zero step (a grid that starts at 0) leaves the
     vector as it is.
+
+    The step lengths are taken once, as Python floats (the same subtraction
+    as ``t_k - t_{k-1}``), and each product is written straight into its row
+    of the result: no numpy scalar and no temporary vector per step. ``v0`` is
+    complex, as every caller's is, so every product has the dtype of its row.
     """
     out = np.empty((times.size, v0.size), dtype=complex)
-    v, prev = v0, 0.0
+    v = v0
     step, length = None, 0.0
-    for k, tk in enumerate(times):
-        dt = tk - prev
-        if dt != 0.0:
-            if abs(dt - length) > STEP_RTOL * length:
-                # an overflow leaves a non-finite 1-norm, which expm rejects
-                with np.errstate(over="ignore", invalid="ignore"):
-                    scaled = generator * dt
-                step, length = expm(scaled), dt
-            v = step @ v
-        out[k] = v
-        prev = tk
+    for k, dt in enumerate(np.diff(times, prepend=0.0).tolist()):
+        if dt == 0.0:
+            out[k] = v
+            continue
+        if abs(dt - length) > STEP_RTOL * length:
+            # an overflow leaves a non-finite 1-norm, which expm rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = generator * dt
+            step, length = expm(scaled), dt
+        v = np.dot(step, v, out=out[k])
     return out
 
 

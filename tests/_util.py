@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -54,6 +57,27 @@ def reference_expm_steps(generator, v0, times):
         if key not in cache:
             cache[key] = reference_expm(generator * (tk - prev))
         v = out[k] = cache[key] @ v
+        prev = tk
+    return out
+
+
+def reference_matmul_expm_steps(generator, v0, times):
+    """liouville._expm_steps as it stepped before: ``tk - prev`` on numpy
+    scalars and ``v = step @ v`` into a new vector each step, one matrix
+    exponential per step length within STEP_RTOL. The bytes the stepper must
+    keep."""
+    out = np.empty((times.size, v0.size), dtype=complex)
+    v, prev = v0, 0.0
+    step, length = None, 0.0
+    for k, tk in enumerate(times):
+        dt = tk - prev
+        if dt != 0.0:
+            if abs(dt - length) > liouville.STEP_RTOL * length:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scaled = generator * dt
+                step, length = liouville.expm(scaled), dt
+            v = step @ v
+        out[k] = v
         prev = tk
     return out
 
@@ -312,3 +336,28 @@ def reference_bootstrap_slopes(run, idx):
         abs_rho01_rs = np.abs(mean_a1_rs) * math.sqrt(2.0)
         return (stochastic._slope(tw, -np.log(rho11_rs)),
                 stochastic._slope(tw, -np.log(abs_rho01_rs)))
+
+
+# ---------------------------------------------------------------------------
+# Series writer references: the cell-by-cell writers the CLI replaced
+# ---------------------------------------------------------------------------
+
+def _round12(x):
+    return float(f"{x:.12g}") if math.isfinite(x) else x
+
+
+def reference_series_csv(columns, table):
+    """timeseries.csv as csv.writer printed it, each cell formatted on its own
+    with ``{:.12g}``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([f"{v:.12g}" for v in row] for row in table.tolist())
+    return buffer.getvalue()
+
+
+def reference_series_json(columns, table):
+    """timeseries.json as ``json.dumps(records, indent=2)`` printed it: one dict
+    per row of cells rounded to 12 significant digits."""
+    records = [dict(zip(columns, map(_round12, row))) for row in table.tolist()]
+    return json.dumps(records, indent=2) + "\n"

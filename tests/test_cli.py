@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from _util import reference_series_csv, reference_series_json
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinkinetics import NumericalError, cli, radical_pair, stochastic
@@ -696,6 +697,35 @@ class TestOutputFiles:
         assert err["error"] == "validation"
         assert repr(str(out / blocked)) in err["message"]
         assert blocked != "timeseries.csv" or not (out / "summary.json").exists()
+
+
+#: cells the series writers must print as the cell-by-cell writers did
+SPECIAL_CELLS = [
+    0.0, -0.0, 1.0, -3.0, 2.0**53, 1e16, 123456789012.0,  # integral floats
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,  # subnormals and the smallest normal
+    1e300, -1e-300, 1.7976931348623157e308, 9.999999999995e299,
+    0.1, 1 / 3, 2.5e-11, 0.999999999999951, 9.9999999999995e-5,
+    math.nan, math.inf, -math.inf,
+]
+BLOCK = cli.SERIES_BLOCK_ROWS
+
+
+class TestSeriesWriter:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        columns=st.lists(st.sampled_from(["t_s", "rho_SS", "a,b", 'q"', "100%s", "é", ""]),
+                         min_size=1, max_size=6),
+        cells=st.lists(st.one_of(st.sampled_from(SPECIAL_CELLS), st.floats()),
+                       min_size=1, max_size=60),
+        n_rows=st.sampled_from([1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37]),
+    )
+    @example(columns=["t_s"], cells=[-0.0], n_rows=1)
+    @example(columns=["t_s", "x", "t_s"], cells=[1.0, 2.0, 3.0, 4.0], n_rows=3)
+    @example(columns=["t_s", "rho_SS"], cells=SPECIAL_CELLS, n_rows=BLOCK + 1)
+    def test_both_formats_match_the_cell_by_cell_writers(self, columns, cells, n_rows):
+        table = np.resize(np.array(cells), (n_rows, len(columns)))
+        for fmt, reference in (("csv", reference_series_csv), ("json", reference_series_json)):
+            assert "".join(cli._series_pieces(columns, table, fmt)) == reference(columns, table)
 
 
 class TestOutputDir:

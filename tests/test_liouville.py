@@ -7,6 +7,7 @@ from _util import (
     random_density,
     random_hermitian,
     reference_expm_steps,
+    reference_matmul_expm_steps,
     reference_rk_propagate,
 )
 from scipy.linalg import expm
@@ -29,6 +30,7 @@ from spinkinetics import (
     relaxation_supermatrix,
     validity_check,
 )
+from spinkinetics._blas import one_thread
 from spinkinetics.liouville import (
     STEP_RTOL,
     _anticommutator,
@@ -313,6 +315,35 @@ class TestStepMatrices:
         dt = 1e-10
         _expm_steps(g, v0, np.array([dt, dt + dt * (1.0 + shift * STEP_RTOL)]))
         assert len(expm_calls) == matrices
+
+
+class TestStepperBytes:
+    @staticmethod
+    def grids(t_max):
+        dt = t_max / 40
+        # neighbouring step lengths 0.1 to 30 STEP_RTOL apart: some steps
+        # reuse the last matrix, others need their own
+        mixed = dt * (1.0 + np.array([0.0, 0.1, 10.0, 0.5, 30.0, 0.0, 10.0, 0.1]) * STEP_RTOL)
+        return {
+            "uniform from zero": np.linspace(0.0, t_max, 201),
+            "not from zero": np.linspace(0.0, 5 * t_max, 2001)[1:],
+            "inside and outside STEP_RTOL": np.cumsum(np.resize(mixed, 40)),
+        }
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_the_stepper_keeps_the_bytes_of_the_matmul_loop(self, n):
+        g, v0 = _decaying_generator(n, seed=40 + n)
+        for name, times in self.grids(10.0 / np.linalg.norm(g)).items():
+            with one_thread(n * n):
+                got = _expm_steps(g, v0, times)
+                want = reference_matmul_expm_steps(g, v0, times)
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_the_mixed_grid_needs_matrices_inside_and_outside_the_tolerance(self, expm_calls):
+        g, v0 = _decaying_generator(2, seed=42)
+        times = self.grids(10.0 / np.linalg.norm(g))["inside and outside STEP_RTOL"]
+        _expm_steps(g, v0, times)
+        assert 1 < len(expm_calls) < times.size
 
 
 def _out_of_regime_redfield(seed=0):
