@@ -107,8 +107,7 @@ def _block(schema, block, where: str):
     one. Returns (the block as given plus its static defaults, the checked
     values): the first is what a summary records as its inputs.
     """
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be an object")
+    _object(block, where)
     if isinstance(schema, _Tagged):
         pick = _one_of(schema.schemas)
         kind = pick(block.get(schema.tag), f"{where}.{schema.tag}")
@@ -174,6 +173,12 @@ def _one_of(options):
 def _boolean(value, where):
     if not isinstance(value, bool):
         raise ConfigError(f"{where} must be true or false")
+    return value
+
+
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
     return value
 
 
@@ -564,10 +569,15 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 _OUTPUT = {"dir": (".", _text), "format": ("csv", _one_of(("csv", "json")))}
+#: a config's envelope: its parameters are checked by _check_parameters alone
+_CONFIG = {"scenario": (REQUIRED, _one_of(_RUNNERS)), "parameters": (REQUIRED, _object),
+           "output": ({}, _OUTPUT), "seed": (OPTIONAL, _integer(0))}
 
 
-def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+def _load_config(args) -> dict:
+    """The config file of ``args`` with each flag given laid over the key it
+    overrides, so that the flag meets that key's check."""
+    with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
@@ -575,25 +585,32 @@ def _load_config(path: str) -> dict:
         doc = doc["inputs"]  # a summary.json can be re-fed directly
         if not isinstance(doc, dict):
             raise ConfigError("summary inputs block must be an object")
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    flags = {"dir": args.out_dir, "format": getattr(args, "format", None)}
+    output = doc.setdefault("output", {})
+    if isinstance(output, dict):  # else config.output fails its check
+        output.update((key, flag) for key, flag in flags.items() if flag is not None)
     return doc
 
 
-def _normalize_config(doc: dict, *, sweep: bool):
-    """Check a whole config: (inputs, checked parameters).
+def _normalize_config(doc: dict, *, sweep: bool) -> dict:
+    """Check a config's envelope: the config as given plus its static defaults.
+    Its parameters are checked here only as an object."""
+    schema = {**_CONFIG, "grid": (REQUIRED, _grid)} if sweep else _CONFIG
+    return _block(schema, doc, "config")[0]
 
-    ``inputs`` is the config as given plus its static defaults; values
-    derived from others (the Lorentzian's tau_c, say) are left out of it, so a
-    re-fed summary derives them afresh.
-    """
-    blocks = {"output": ({}, _OUTPUT), "seed": (OPTIONAL, _integer(0))}
-    if sweep:
-        blocks["grid"] = (REQUIRED, _grid)
-    schema = _Tagged("scenario", {
-        name: {"parameters": (REQUIRED, parameters), **blocks}
-        for name, (parameters, _, _) in _RUNNERS.items()
-    })
-    inputs, checked = _block(schema, doc, "config")
-    return inputs, checked["parameters"]
+
+def _check_parameters(scenario: str, block):
+    """Check a run's or a sweep point's parameters by the scenario's schema, then
+    by its check of the keys that span each other: (the block as given plus its
+    static defaults, the checked values). Values derived from others (the
+    Lorentzian's tau_c, say) are left out of the first, which a summary records."""
+    schema, _, cross_check = _RUNNERS[scenario]
+    given, checked = _block(schema, block, "config.parameters")
+    if cross_check is not None:
+        cross_check(checked)
+    return given, checked
 
 
 def _set_dotted(params: dict, dotted: str, value) -> dict:
@@ -717,10 +734,9 @@ def _task_map(workers: int):
     builtin map for one worker, else the map of a pool of ``workers`` processes.
 
     Multi-threaded BLAS in every worker spins on the same CPUs, so each worker
-    sets one thread as it starts. The parent keeps its counts: it may do its own
-    work while the pool is open, and OpenBLAS rounds a threaded matrix product
-    differently on one thread. The pool is shut down, its workers joined, before
-    the block is left, also when a task raises.
+    sets one thread as it starts. The parent keeps its counts: the package
+    changes a host's thread counts only inside its own blocks. The pool is shut
+    down, its workers joined, before the block is left, also when a task raises.
     """
     if workers <= 1:
         yield map
@@ -737,41 +753,29 @@ def _run_point(scenario: str, params: dict, seed, workers: int = 1):
     return runner(params, seed, workers)
 
 
-def _checked_config(args, *, sweep: bool):
-    """(inputs, run parameters or sweep tasks, output directory).
-
-    The directory is created after every check, grid points included, and
-    before any runner starts.
-    """
-    doc = _load_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed  # checked like config.seed
-    inputs, params = _normalize_config(doc, sweep=sweep)
-    if args.out_dir is not None:
-        inputs["output"]["dir"] = args.out_dir
+def _checked_config(doc: dict, *, sweep: bool):
+    """(inputs, run parameters or sweep tasks): every check, grid points included."""
+    inputs = _normalize_config(doc, sweep=sweep)
     if sweep:
-        # inputs record the raw block each grid point is laid over, so a
-        # re-fed summary gives every point its own defaults
-        inputs["parameters"] = doc["parameters"]
-        work = list(_sweep_tasks(inputs))
-    else:
-        _, _, cross_check = _RUNNERS[inputs["scenario"]]
-        if cross_check is not None:
-            cross_check(params)
-        work = params
-    out_dir = Path(inputs["output"]["dir"])
+        return inputs, list(_sweep_tasks(inputs))
+    inputs["parameters"], params = _check_parameters(inputs["scenario"], inputs["parameters"])
+    return inputs, params
+
+
+def _out_dir(config: dict) -> Path:
+    """The output directory of a checked config, created."""
+    out_dir = Path(config["output"]["dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
         raise ConfigError(f"config.output.dir {str(out_dir)!r} cannot be created: {exc}") from None
-    return inputs, work, out_dir
+    return out_dir
 
 
 def cmd_run(args) -> int:
     started = time.monotonic()
-    config, params, out_dir = _checked_config(args, sweep=False)
-    if args.format is not None:
-        config["output"]["format"] = args.format
+    config, params = _checked_config(_load_config(args), sweep=False)
+    out_dir = _out_dir(config)
     results, series = _run_point(config["scenario"], params, config.get("seed"), _cpus())
     if series is not None:  # the summary goes last: it exists only for a complete run
         path = _write_series(out_dir, *series, config["output"]["format"])
@@ -782,14 +786,13 @@ def cmd_run(args) -> int:
 
 
 def _sweep_tasks(config: dict):
-    """Grid points as (index, grid values, checked parameters, seed).
+    """Grid points as ``_sweep_worker`` tasks: (scenario, point, checked parameters, seed).
 
-    Each point is laid over the raw ``parameters`` block before it is
-    checked, key by key and then by the scenario's check of the keys that
-    span each other, so values derived from swept keys follow the grid. Seeds
-    come from SeedSequence((master seed, index)): no stream is shared.
+    Each point is laid over the ``parameters`` block as given and checked
+    once, on its own, so the block may leave out keys the grid sets, and
+    values derived from swept keys follow the grid. Seeds come from
+    SeedSequence((master seed, index)): no stream is shared.
     """
-    schema, _, cross_check = _RUNNERS[config["scenario"]]
     grid = config["grid"]
     keys = sorted(grid)
     base_seed = config.get("seed", 0)
@@ -799,13 +802,11 @@ def _sweep_tasks(config: dict):
         for key, value in point.items():
             params = _set_dotted(params, key, value)
         try:
-            _, checked = _block(schema, params, "config.parameters")
-            if cross_check is not None:
-                cross_check(checked)
+            _, checked = _check_parameters(config["scenario"], params)
         except ValidationError as exc:
             raise ConfigError(f"grid point {point}: {exc}") from None
         seed = int(np.random.SeedSequence((base_seed, index)).generate_state(1)[0])
-        yield index, point, checked, seed
+        yield config["scenario"], point, checked, seed
 
 
 def _sweep_worker(task):
@@ -819,13 +820,12 @@ def _sweep_worker(task):
 
 def cmd_sweep(args) -> int:
     started = time.monotonic()
-    config, tasks, out_dir = _checked_config(args, sweep=True)
-    scenario = config["scenario"]
-    payloads = [(scenario, point, params, seed) for _i, point, params, seed in tasks]
+    config, tasks = _checked_config(_load_config(args), sweep=True)
+    out_dir = _out_dir(config)
     cpus = _cpus()
     # a fork pool starts every worker at once, however few points there are
     with _task_map(min(args.workers or cpus, len(tasks), cpus)) as point_map:
-        all_results = list(point_map(_sweep_worker, payloads))
+        all_results = list(point_map(_sweep_worker, tasks))
 
     grid_keys = sorted(config["grid"])
     flat_rows = [_flatten(r) for r in all_results]
@@ -836,7 +836,7 @@ def cmd_sweep(args) -> int:
     csv_path = out_dir / "sweep.csv"
     _write_table(csv_path, grid_keys + value_keys, (
         [combo[k] for k in grid_keys] + [flat.get(k) for k in value_keys]
-        for (_i, combo, _params, _seed), flat in zip(tasks, flat_rows)
+        for (_scenario, combo, _params, _seed), flat in zip(tasks, flat_rows)
     ))
     _write_summary(
         out_dir / "summary.json", config, {"n_points": len(tasks)},

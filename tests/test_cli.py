@@ -21,7 +21,7 @@ from spinkinetics.cli import (
     EXIT_PARSE,
     EXIT_VALIDATION,
     ConfigError,
-    _normalize_config,
+    _checked_config,
     _sweep_tasks,
     main,
 )
@@ -361,19 +361,71 @@ class TestConfigSchema:
     )
 
     @pytest.mark.parametrize("scenario", sorted(VALID))
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_any_one_bad_value_is_a_config_error(self, scenario, data):
-        config = copy.deepcopy(VALID[scenario])
-        path = data.draw(st.sampled_from(sorted(self.key_paths(config))))
-        node = config
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = data.draw(self.JUNK)
-        try:
-            _normalize_config(config, sweep=False)
-        except ConfigError:
-            pass
+    def test_any_one_bad_value_is_a_config_error(self, scenario):
+        rejected = []
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(data=st.data())
+        def one_bad_value(data):
+            config = copy.deepcopy(VALID[scenario])
+            path = data.draw(st.sampled_from(sorted(self.key_paths(config))))
+            node = config
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = data.draw(self.JUNK)
+            try:
+                _checked_config(config, sweep=False)  # every check a run makes
+            except ConfigError:
+                rejected.append(path)
+
+        one_bad_value()
+        # a check path that skips the parameters' keys would reject none of them
+        assert any(path[0] == "parameters" and len(path) > 1 for path in rejected)
+
+
+def without(scenario, key):
+    config = copy.deepcopy(VALID[scenario])
+    del config["parameters"][key]
+    return config
+
+
+def three_state_sweep(grid):
+    return dict(copy.deepcopy(VALID["three-state"]), grid=grid)
+
+
+class TestRejections:
+    """Each rejection exits 3 with one stderr JSON line that names the key, and
+    makes no output directory."""
+
+    @pytest.mark.parametrize("command, config, named", [
+        ("run", without("three-state", "omega_s_rad_s"),
+         "missing key in config.parameters: 'omega_s_rad_s'"),
+        ("run", with_params("three-state", omega_s_rad_s=10**400),
+         "config.parameters.omega_s_rad_s must be finite"),
+        ("run", with_params("three-state", spectral_density={
+            "form": "tabulated", "omega_rad_s": [1.0, 0.0], "values_rad2_per_s": [1.0, 1.0],
+        }), "config.parameters.spectral_density: tabulated grid must be strictly increasing"),
+        ("sweep", three_state_sweep([]), "config.grid must be a non-empty object"),
+        ("sweep", three_state_sweep({key: [1.0] for key in "abcd"}),
+         "config.grid spans more than 3 parameters"),
+        ("sweep", three_state_sweep({"omega_s_rad_s": []}),
+         "config.grid.omega_s_rad_s must be a non-empty list"),
+        ("run", [VALID["radii"]], "config root must be an object"),
+        ("run", {"inputs": [VALID["radii"]], "results": {}},
+         "summary inputs block must be an object"),
+        ("sweep", three_state_sweep({"omega_s_rad_s.x": [1.0]}),
+         "grid key 'omega_s_rad_s.x' does not address a parameter block"),
+    ], ids=["missing-key", "huge-integer", "decreasing-tabulated-grid", "grid-not-an-object",
+            "four-grid-keys", "empty-grid-values", "root-not-an-object",
+            "summary-inputs-not-an-object", "dotted-key-through-a-value"])
+    def test_exits_3_with_one_line_naming_the_key(self, tmp_path, capsys, command, config, named):
+        cfg = write_config(tmp_path / "cfg.json", config)
+        out = tmp_path / "out"
+        assert main([command, cfg, "--out-dir", str(out)]) == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "validation", "message": named}
+        assert not out.exists()
 
 
 class TestRoundTrip:
@@ -544,6 +596,51 @@ class TestSweep:
         assert main(["sweep", cfg, "--out-dir", out, "--workers", "1"]) == EXIT_VALIDATION
         assert calls == []
         assert not (tmp_path / "out").exists()
+
+    def test_a_key_set_only_by_the_grid_needs_no_base_value(self, tmp_path):
+        config = without("three-state", "omega_s_rad_s")
+        config["grid"] = {"omega_s_rad_s": [5e8, 2e9]}
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["sweep", cfg, "--out-dir", str(tmp_path / "a"), "--workers", "1"]) == 0
+        refed = str(tmp_path / "a" / "summary.json")
+        assert main(["sweep", refed, "--out-dir", str(tmp_path / "b"), "--workers", "1"]) == 0
+        assert (tmp_path / "a" / "sweep.csv").read_bytes() == (
+            tmp_path / "b" / "sweep.csv"
+        ).read_bytes()
+
+    def test_a_variant_point_may_drop_the_rates_of_the_base_variant(self, tmp_path):
+        params = {"variant": "haberkorn", "kappa_d_per_s": 1.5, "compute_yields": False,
+                  "time_grid": {"t_max_s": 1.0, "n_points": 5}}
+        sweep_cfg = write_config(tmp_path / "sweep.json", {
+            "scenario": "radical-pair", "parameters": params,
+            "grid": {"variant": ["dephasing_only"]},
+        })
+        run_cfg = write_config(tmp_path / "run.json", {
+            "scenario": "radical-pair", "parameters": dict(params, variant="dephasing_only"),
+        })
+        assert main(["sweep", sweep_cfg, "--out-dir", str(tmp_path / "a"), "--workers", "1"]) == 0
+        assert main(["run", run_cfg, "--out-dir", str(tmp_path / "b")]) == 0
+        header, rows = read_csv(tmp_path / "a" / "sweep.csv")
+        rate = read_summary(tmp_path / "b")["results"]["coherence"]["rate_per_s"]
+        assert rows == [["dephasing_only", *rows[0][1:]]]
+        assert float(rows[0][header.index("coherence.rate_per_s")]) == rate
+
+    def test_a_bad_base_value_no_point_sets_fails_before_any_point_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "_run_point", lambda *a: calls.append(a))
+        config = with_params("three-state", beta_s=-1.0)
+        config["grid"] = {"omega_s_rad_s": [5e8, 2e9]}
+        cfg = write_config(tmp_path / "cfg.json", config)
+        out = tmp_path / "out"
+        assert main(["sweep", cfg, "--out-dir", str(out), "--workers", "1"]) == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == (
+            "grid point {'omega_s_rad_s': 500000000.0}: config.parameters.beta_s must be >= 0.0"
+        )
+        assert calls == []
+        assert not out.exists()
 
     def test_point_seeds_do_not_repeat_across_master_seeds(self):
         def seeds(master):
@@ -747,6 +844,15 @@ class TestOutputDir:
         assert "config.output.dir" in err["message"]
         assert calls == []
 
+    def test_a_dir_with_a_nul_byte_exits_3_naming_it(self, tmp_path, capsys):
+        config = dict(VALID["radii"], output={"dir": str(tmp_path / "a\x00b")})
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["run", cfg]) == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["message"].startswith("config.output.dir ")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
 
 def test_runtime_loads_no_scipy(tmp_path):
     """No scipy module after import, nor after a radical-pair run and a serial
@@ -788,6 +894,24 @@ class TestFlags:
             main([command, cfg, "--out-dir", str(tmp_path / "out"), *flag])
         assert exc.value.code == 2  # argparse usage error
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, flag, named", [
+        (VALID["radii"], ["--seed", "-1"], "config.seed must be an integer >= 0"),
+        (dict(VALID["radii"], output=5), [], "config.output must be an object"),
+    ], ids=["negative-seed", "output-not-an-object"])
+    def test_a_flag_meets_the_check_of_its_key(self, tmp_path, capsys, config, flag, named):
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out"), *flag]) == EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().err.strip())["message"] == named
+        assert not (tmp_path / "out").exists()
+
+    def test_a_flag_overrides_its_key_in_the_recorded_inputs(self, tmp_path):
+        config = dict(VALID["radii"], seed=3, output={"dir": "elsewhere", "format": "csv"})
+        cfg = write_config(tmp_path / "cfg.json", config)
+        out = str(tmp_path / "out")
+        assert main(["run", cfg, "--out-dir", out, "--seed", "7", "--format", "json"]) == 0
+        inputs = read_summary(tmp_path / "out")["inputs"]
+        assert (inputs["seed"], inputs["output"]) == (7, {"dir": out, "format": "json"})
 
 
 class TestOracleScenario:
