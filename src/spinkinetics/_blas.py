@@ -8,7 +8,11 @@ process, the spectral norm of a 256 x 256 generator took 135 ms on two
 threads against 29 ms on one, and the spin-ladder benchmark's library calls
 (N = 4, 8, 16) 0.33-0.49 s against 0.13-0.18 s; on idle vCPUs both took
 0.11-0.18 s. ``one_thread`` runs the package's dense Liouville-space linear
-algebra on one thread, so that its time follows the load of one CPU.
+algebra on one thread, so that its time follows the load of one CPU. A process
+pool is forked inside a ``one_thread`` block, because a set call in a freshly
+forked worker starts OpenBLAS's server thread, which busy-waits beside the
+worker's own: the workers inherit the count of one and the open block, so no
+block inside them makes a set call.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -32,7 +33,8 @@ import numpy as np
 
 from . import bloch_redfield as br
 from . import diffusion, radical_pair, stochastic, three_state
-from ._blas import threads as _blas_threads
+from ._blas import one_thread
+from ._blas import threads as _blas_threads  # noqa: F401  (the pool tests read counts here)
 from .errors import (
     NumericalError,
     RegimeError,
@@ -729,21 +731,23 @@ def _cpus() -> int:
 
 
 @contextlib.contextmanager
-def _task_map(workers: int):
+def _task_map(workers: int, chunksize: int = 1):
     """The map that runs a stage's tasks and yields their results in order: the
-    builtin map for one worker, else the map of a pool of ``workers`` processes.
+    builtin map for one worker, else the map of a pool of ``workers`` processes
+    that sends its tasks out ``chunksize`` at a time.
 
-    Multi-threaded BLAS in every worker spins on the same CPUs, so each worker
-    sets one thread as it starts. The parent keeps its counts: the package
-    changes a host's thread counts only inside its own blocks. The pool is shut
-    down, its workers joined, before the block is left, also when a task raises.
+    Each worker runs one BLAS thread. A set call in a freshly forked worker
+    starts OpenBLAS's server thread, which busy-waits beside the worker's own,
+    so no worker makes one: the parent pins its copies to one thread while its
+    pool runs, and the workers fork with that count. The parent's counts come
+    back when the block closes. The pool is shut down, its workers joined,
+    before the block is left, also when a task raises.
     """
     if workers <= 1:
         yield map
         return
-    with ProcessPoolExecutor(max_workers=workers, initializer=_blas_threads,
-                             initargs=(1,)) as pool:
-        yield pool.map
+    with one_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
+        yield functools.partial(pool.map, chunksize=chunksize)
 
 
 def _run_point(scenario: str, params: dict, seed, workers: int = 1):
@@ -824,7 +828,10 @@ def cmd_sweep(args) -> int:
     out_dir = _out_dir(config)
     cpus = _cpus()
     # a fork pool starts every worker at once, however few points there are
-    with _task_map(min(args.workers or cpus, len(tasks), cpus)) as point_map:
+    workers = min(args.workers or cpus, len(tasks), cpus)
+    # multiprocessing.Pool's default: about four chunks per worker, not one
+    # round trip per point
+    with _task_map(workers, max(1, len(tasks) // (4 * workers))) as point_map:
         all_results = list(point_map(_sweep_worker, tasks))
 
     grid_keys = sorted(config["grid"])

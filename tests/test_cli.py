@@ -1,5 +1,6 @@
 import copy
 import csv
+import functools
 import json
 import math
 import multiprocessing
@@ -113,7 +114,7 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -122,7 +123,7 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
@@ -733,12 +734,41 @@ needs_pool = pytest.mark.skipif(
 )
 
 
+#: forked pool workers, counted in /proc/self/task
+needs_forked_task_count = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork" or not os.path.isdir("/proc/self/task"),
+    reason="the patched task reaches forked workers only, and counts threads in /proc",
+)
+
+
+def os_threads() -> int:
+    """The OS threads of this process."""
+    return len(os.listdir("/proc/self/task"))
+
+
+_chunk_sums = stochastic._chunk_sums
+
+
+def counted_chunk_sums(counts, *args):
+    """A chunk's sums, with its process's thread count appended to ``counts``.
+    Module level, so that a pool can pickle it."""
+    sums = _chunk_sums(*args)
+    with open(counts, "a", encoding="utf-8") as fh:
+        fh.write(f"{os_threads()}\n")
+    return sums
+
+
 @needs_pool
 class TestSweepPool:
-    def test_three_state_rows_match_serial_bit_for_bit(self, tmp_path):
+    @pytest.mark.parametrize("grid", [
+        {"omega_s_rad_s": [5e8, 1e9, 2e9], "spectral_density.tau_c_s": [5e-11, 2e-10]},
+        # 21 points: two workers take chunks of 2 and a remainder of 1
+        {"omega_s_rad_s": [5e8, 7e8, 1e9, 1.5e9, 2e9, 3e9, 5e9],
+         "spectral_density.tau_c_s": [5e-11, 1e-10, 2e-10]},
+    ], ids=["6-points", "21-points"])
+    def test_three_state_rows_match_serial_bit_for_bit(self, tmp_path, grid):
         config = with_params("three-state", observables=["rho_11"])
-        config["grid"] = {"omega_s_rad_s": [5e8, 1e9, 2e9],
-                          "spectral_density.tau_c_s": [5e-11, 2e-10]}
+        config["grid"] = grid
         cfg = write_config(tmp_path / "cfg.json", config)
         for workers in ("1", "2"):
             out = str(tmp_path / workers)
@@ -771,6 +801,28 @@ class TestSweepPool:
         columns = [i for i, name in enumerate(header) if name.startswith("threads[")]
         assert len(columns) == len(after)
         assert {row[i] for row in rows for i in columns} == {"1"}
+
+    @needs_forked_task_count
+    def test_forked_sweep_and_oracle_workers_run_one_os_thread(self, tmp_path, monkeypatch):
+        # an OpenBLAS set call in a fresh worker would start a busy-waiting
+        # server thread beside the worker's own
+        set_cpus(monkeypatch, 2)
+        config = {"scenario": "radii", "parameters": RADII_PARAMS,
+                  "grid": {"D_cm2_per_s": [1e-6, 2e-6, 5e-6, 1e-5, 2e-5]}}
+        cfg = write_config(tmp_path / "cfg.json", config)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_run_point", lambda *a: ({"threads": os_threads()}, None))
+            assert main(["sweep", cfg, "--out-dir", str(tmp_path / "sweep"), "--workers", "2"]) == 0
+        header, rows = read_csv(tmp_path / "sweep" / "sweep.csv")
+        assert {row[header.index("threads")] for row in rows} == {"1"}
+
+        counts = tmp_path / "counts"
+        monkeypatch.setattr(stochastic, "_chunk_sums",
+                            functools.partial(counted_chunk_sums, str(counts)))
+        config = with_params("oracle", n_traj=THREE_CHUNKS, t_total_s=2e-12)
+        cfg = write_config(tmp_path / "oracle.json", config)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "oracle")]) == 0
+        assert counts.read_text().split() == ["1"] * 3
 
 
 class TestOutputFiles:
