@@ -24,9 +24,10 @@ Detailed balance enters only through the tanh factor, so the spectra are even
 in frequency. Frequency (Lamb-type) shifts are dropped: only the real
 relaxation rates are produced.
 
-``frequency_decompose`` diagonalises and bins H once per Hamiltonian object
-and returns one coupling in that eigenbasis: V, W and V^dag L V, read as a
-sequence of FrequencyComponents built only on access. COMPONENT_DROP_RTOL
+``frequency_decompose`` diagonalises and bins H once per Hamiltonian, keyed
+by its entries so that sweep points at equal H share it, and returns one
+coupling in that eigenbasis: V, W and V^dag L V, read as a sequence of
+FrequencyComponents built only on access. COMPONENT_DROP_RTOL
 drops the Bohr-frequency bins of a coupling whose Frobenius norm is at most
 that fraction of ||L||_F, from its components and from the assembly alike.
 """
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import copy
 import math
-import weakref
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
@@ -266,20 +267,23 @@ def _cluster_frequencies(freqs: np.ndarray, threshold: float):
     return 0.5 * (reps - reps[::-1]), labels
 
 
-#: (V, Omega-bar, bin labels, bin frequencies) of each Hamiltonian seen, kept
-#: while it lives; its entries are read-only
-_BINS: "weakref.WeakKeyDictionary[OperatorMatrix, tuple]" = weakref.WeakKeyDictionary()
+#: (V, Omega-bar, bin labels, bin frequencies) of the BINS_KEPT Hamiltonians
+#: used last, by the bytes of their entries; the arrays are read-only
+_BINS: "OrderedDict[bytes, tuple]" = OrderedDict()
+BINS_KEPT = 64
 
 
 def _bohr_bins(h: OperatorMatrix) -> tuple:
-    """Check, diagonalise and bin H once per Hamiltonian object.
+    """Check, diagonalise and bin H once per Hamiltonian: equal entries share it.
 
     Returns the eigenvectors V of H (columns), the binned Bohr frequency
     Omega-bar[j, j'] of nu_j - nu_j', the bin label of each element and the
     frequency of each bin, in ascending order.
     """
-    bins = _BINS.get(h)
+    key = h.entries.tobytes()
+    bins = _BINS.get(key)
     if bins is not None:
+        _BINS.move_to_end(key)
         return bins
     if not h.is_hermitian(1e-10):
         raise ValidationError("system Hamiltonian must be Hermitian")
@@ -289,9 +293,11 @@ def _bohr_bins(h: OperatorMatrix) -> tuple:
     threshold = FREQUENCY_BIN_RTOL * (scale if scale > 0 else 1.0)
     reps, labels = _cluster_frequencies(freq_matrix.reshape(-1), threshold)
     labels = labels.reshape(freq_matrix.shape)
-    bins = _BINS[h] = (vecs, reps[labels], labels, reps)
+    bins = _BINS[key] = (vecs, reps[labels], labels, reps)
     for a in bins:
         a.setflags(write=False)
+    if len(_BINS) > BINS_KEPT:
+        _BINS.popitem(last=False)
     return bins
 
 

@@ -308,6 +308,13 @@ _THREE_STATE = {
 }
 
 
+@functools.cache
+def _ts_state(name: str) -> DensityMatrix:
+    """The initial state ``name``, built on its first use and shared after
+    (a DensityMatrix is read-only)."""
+    return DensityMatrix.pure(three_state.THREE_STATE_BASIS, _TS_STATES[name])
+
+
 def _run_three_state(params: dict, seed, workers):
     p = three_state.ThreeStateParams(
         omega0=params["omega0_rad_s"],
@@ -323,8 +330,7 @@ def _run_three_state(params: dict, seed, workers):
     tau_c = params.get("tau_c_s")
     if tau_c is None and isinstance(p.transverse, br.Lorentzian):
         tau_c = p.transverse.tau_c
-    rho0 = DensityMatrix.pure(three_state.THREE_STATE_BASIS,
-                              _TS_STATES[params["initial_state"]])
+    rho0 = _ts_state(params["initial_state"])
     series = _state_series(assemble_generator(h, relaxers=[relax]), rho0, params, _TS_COLUMNS)
     results = {
         "rates": {
@@ -556,13 +562,23 @@ def _run_oracle(params: dict, seed, workers):
     return results, (["t_s", "rho_11", "abs_rho_01", "two_re_delta_a"], table)
 
 
-#: scenario -> (parameters schema, runner(params, seed, workers), check of the keys
-#: that span each other)
+class _Scenario(NamedTuple):
+    """A scenario's parameters schema, its runner(params, seed, workers), its
+    check of the keys that span each other, and whether the runner reads a
+    seed: a sweep derives point seeds only for a scenario that does."""
+
+    schema: object
+    runner: object
+    cross_check: object = None
+    seeded: bool = False
+
+
 _RUNNERS = {
-    "three-state": (_THREE_STATE, _run_three_state, None),
-    "radical-pair": (_RADICAL_PAIR, _run_radical_pair, None),
-    "radii": (_RADII, _run_radii, None),
-    "oracle": (_ORACLE, _run_oracle, lambda params: _oracle_setup(params, 0)),
+    "three-state": _Scenario(_THREE_STATE, _run_three_state),
+    "radical-pair": _Scenario(_RADICAL_PAIR, _run_radical_pair),
+    "radii": _Scenario(_RADII, _run_radii),
+    "oracle": _Scenario(_ORACLE, _run_oracle, lambda params: _oracle_setup(params, 0),
+                        seeded=True),
 }
 
 
@@ -608,10 +624,10 @@ def _check_parameters(scenario: str, block):
     by its check of the keys that span each other: (the block as given plus its
     static defaults, the checked values). Values derived from others (the
     Lorentzian's tau_c, say) are left out of the first, which a summary records."""
-    schema, _, cross_check = _RUNNERS[scenario]
-    given, checked = _block(schema, block, "config.parameters")
-    if cross_check is not None:
-        cross_check(checked)
+    entry = _RUNNERS[scenario]
+    given, checked = _block(entry.schema, block, "config.parameters")
+    if entry.cross_check is not None:
+        entry.cross_check(checked)
     return given, checked
 
 
@@ -753,8 +769,7 @@ def _task_map(workers: int, chunksize: int = 1):
 def _run_point(scenario: str, params: dict, seed, workers: int = 1):
     """Execute one scenario evaluation in at most ``workers`` processes: one for
     a sweep point, so that pools never nest."""
-    _, runner, _ = _RUNNERS[scenario]
-    return runner(params, seed, workers)
+    return _RUNNERS[scenario].runner(params, seed, workers)
 
 
 def _checked_config(doc: dict, *, sweep: bool):
@@ -794,12 +809,14 @@ def _sweep_tasks(config: dict):
 
     Each point is laid over the ``parameters`` block as given and checked
     once, on its own, so the block may leave out keys the grid sets, and
-    values derived from swept keys follow the grid. Seeds come from
-    SeedSequence((master seed, index)): no stream is shared.
+    values derived from swept keys follow the grid. A point's seed is
+    SeedSequence((master seed, index)), so no stream is shared, for a scenario
+    whose runner reads one; None for the others.
     """
     grid = config["grid"]
     keys = sorted(grid)
     base_seed = config.get("seed", 0)
+    seeded = _RUNNERS[config["scenario"]].seeded
     for index, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
         point = dict(zip(keys, combo))
         params = config["parameters"]
@@ -809,7 +826,8 @@ def _sweep_tasks(config: dict):
             _, checked = _check_parameters(config["scenario"], params)
         except ValidationError as exc:
             raise ConfigError(f"grid point {point}: {exc}") from None
-        seed = int(np.random.SeedSequence((base_seed, index)).generate_state(1)[0])
+        seed = (int(np.random.SeedSequence((base_seed, index)).generate_state(1)[0])
+                if seeded else None)
         yield config["scenario"], point, checked, seed
 
 

@@ -124,25 +124,32 @@ def hamiltonian(omega0: float, omega_s: float) -> OperatorMatrix:
     return OperatorMatrix(THREE_STATE_BASIS, h)
 
 
+#: the model's half-weighted couplings by label, built and checked once; a bath
+#: relabels copies of them, so their spectral index stays 0
+COUPLINGS = {
+    label: CouplingOperator(label, OperatorMatrix(THREE_STATE_BASIS, 0.5 * op), 0)
+    for label, op in (("x", SX),
+                      ("y", 1j * (_pair_operator(2, 1) - _pair_operator(1, 2))),
+                      ("z", _pair_operator(1, 1) - _pair_operator(2, 2)),
+                      ("01", _pair_operator(0, 0) - _pair_operator(1, 1)))
+}
+
+
 def build_bath(p: ThreeStateParams):
     """System Hamiltonian and bath specification for the model.
 
     H is :func:`hamiltonian`. The bath couples through half-weighted x/y
     operators on the (1, 2) pair (uncorrelated, equal spectra), optionally a z
     coupling of the same strength, and optionally the (0-1) splitting
-    fluctuation (|0><0| - |1><1|)/2.
+    fluctuation (|0><0| - |1><1|)/2, all taken from :data:`COUPLINGS`.
     """
-    table = [("x", SX, p.transverse),
-             ("y", 1j * (_pair_operator(2, 1) - _pair_operator(1, 2)), p.transverse)]
+    table = [("x", p.transverse), ("y", p.transverse)]
     if p.isotropic:
-        table.append(("z", _pair_operator(1, 1) - _pair_operator(2, 2), p.transverse))
+        table.append(("z", p.transverse))
     if p.splitting is not None:
-        table.append(("01", _pair_operator(0, 0) - _pair_operator(1, 1), p.splitting))
-    couplings = [
-        CouplingOperator(label, OperatorMatrix(THREE_STATE_BASIS, 0.5 * op), i)
-        for i, (label, op, _) in enumerate(table)
-    ]
-    bath = BathSpec.uncorrelated(couplings, [d for _, _, d in table], beta=p.beta)
+        table.append(("01", p.splitting))
+    bath = BathSpec.uncorrelated([COUPLINGS[label] for label, _ in table],
+                                 [d for _, d in table], beta=p.beta)
     return hamiltonian(p.omega0, p.omega_s), bath
 
 

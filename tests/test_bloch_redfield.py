@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+from collections import OrderedDict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from spinkinetics import (
     thermal_part,
     validity_check,
 )
+from spinkinetics import bloch_redfield
 from spinkinetics.bloch_redfield import (
     FREQUENCY_BIN_RTOL,
     _cluster_frequencies,
@@ -549,7 +552,9 @@ class TestEigenbasisAssembly:
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
 
-    def test_eigh_runs_once_per_hamiltonian(self, monkeypatch):
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        monkeypatch.setattr(bloch_redfield, "_BINS", OrderedDict())  # no H seen before
         calls = []
         eigh = np.linalg.eigh
 
@@ -558,14 +563,32 @@ class TestEigenbasisAssembly:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_eigh_runs_once_per_hamiltonian(self, eigh_calls):
         p = ThreeStateParams(omega0=0.0, omega_s=1e9, beta=1e-9, transverse=Lorentzian(1e17, 1e-10),
                              splitting=Lorentzian(5e16, 1e-10), isotropic=True)
         h, bath = build_bath(p)
         for assemble in (relaxation_supermatrix, double_commutator_part, thermal_part):
             assemble(bath, h)
-        assert len(bath.couplings) == 4 and len(calls) == 1
-        relaxation_supermatrix(bath, build_bath(p)[0])
-        assert len(calls) == 2
+        assert len(bath.couplings) == 4 and len(eigh_calls) == 1
+        relaxation_supermatrix(bath, build_bath(p)[0])  # equal (omega0, omega_s), a new H
+        assert len(eigh_calls) == 1
+        relaxation_supermatrix(bath, build_bath(replace(p, omega_s=2e9))[0])
+        assert len(eigh_calls) == 2
+
+    def test_the_least_recently_used_hamiltonian_is_dropped_past_the_bound(self, eigh_calls):
+        def assemble(omega_s):
+            h, bath = build_bath(replace(_transverse_params(), omega_s=omega_s))
+            return relaxation_supermatrix(bath, h).matrix
+
+        first = assemble(1e9)
+        for k in range(bloch_redfield.BINS_KEPT):
+            assemble(2e9 + k)
+        assert len(bloch_redfield._BINS) == bloch_redfield.BINS_KEPT
+        assert len(eigh_calls) == bloch_redfield.BINS_KEPT + 1
+        assert np.array_equal(assemble(1e9), first)
+        assert len(eigh_calls) == bloch_redfield.BINS_KEPT + 2
 
 
 @st.composite

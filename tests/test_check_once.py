@@ -1,24 +1,27 @@
 """A value is checked where it enters the package, not again downstream.
 
-The counts are of calls, not of time: one three-state point measures each
-coupling once (in CouplingOperator), H once (in frequency_decompose, which
-keeps its diagonalisation per Hamiltonian) and the initial state once; the
-radical-pair reaction superoperator is built from fixed projectors and
-measures nothing, and is summed on raw arrays, so each build checks one
-finished matrix. A radical-pair
-run builds it three times, once per generator: its rates are read off the
-model, and the validity check builds one more only when it has a tau_c.
+The counts are of calls, not of time. The three-state couplings are module
+constants, measured once at import, so a three-state point measures none of
+them; frequency_decompose measures and diagonalises H once per Hamiltonian,
+and sweep points with equal (omega0, omega_s) share that; the CLI builds each
+initial state once per name and shares it between points. The radical-pair
+reaction superoperator is built from fixed projectors and measures nothing,
+and is summed on raw arrays, so each build checks one finished matrix. A
+radical-pair run builds it three times, once per generator: its rates are read
+off the model, and the validity check builds one more only when it has a tau_c.
 A propagation on a linspace grid computes one matrix exponential.
 """
 
 import json
+from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from golden.regen import produce
 
-from spinkinetics import liouville
+from spinkinetics import bloch_redfield, cli, liouville
 from spinkinetics.bloch_redfield import (
     BathSpec,
     CouplingOperator,
@@ -28,7 +31,7 @@ from spinkinetics.bloch_redfield import (
 from spinkinetics.cli import main
 from spinkinetics.liouville import BasisLabel, DensityMatrix, OperatorMatrix
 from spinkinetics.radical_pair import ReactionModel, reaction_supermatrix
-from spinkinetics.three_state import THREE_STATE_BASIS, ThreeStateParams, build_bath
+from spinkinetics.three_state import COUPLINGS, THREE_STATE_BASIS, ThreeStateParams, build_bath
 
 
 @pytest.fixture
@@ -54,16 +57,39 @@ def test_one_three_state_point_measures_hermiticity_at_most_nine_times(defect_ca
     assert len(defect_calls) <= 9
 
 
-def test_one_three_state_point_measures_each_coupling_h_and_the_state_once(defect_calls):
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """No Hamiltonian diagonalised and no initial state built before the test."""
+    monkeypatch.setattr(bloch_redfield, "_BINS", OrderedDict())
+    cli._ts_state.cache_clear()
+
+
+def test_three_state_points_measure_no_coupling_and_h_once_per_hamiltonian(defect_calls,
+                                                                          fresh_memos):
     spectrum = Lorentzian(amplitude=1e17, tau_c=1e-10)
     p = ThreeStateParams(omega0=0.0, omega_s=1e9, beta=1e-9, transverse=spectrum,
                          splitting=Lorentzian(amplitude=5e16, tau_c=1e-10), isotropic=True)
     h, bath = build_bath(p)
-    assert len(defect_calls) == 4  # x, y, z and 0-1 couplings
+    assert defect_calls == []  # the x, y, z and 0-1 couplings were measured at import
     relaxation_supermatrix(bath, h)
-    assert len(defect_calls) == 5  # H, once for its four couplings
-    DensityMatrix.pure(THREE_STATE_BASIS, [0, 1, 0])
-    assert len(defect_calls) == 6
+    assert len(defect_calls) == 1  # H, once for its four couplings
+    h, bath = build_bath(replace(p, beta=1e-8))
+    relaxation_supermatrix(bath, h)
+    assert len(defect_calls) == 1  # equal (omega0, omega_s): the same H
+    h, bath = build_bath(replace(p, omega_s=2e9))
+    relaxation_supermatrix(bath, h)
+    assert len(defect_calls) == 2
+
+
+def test_a_three_state_sweep_measures_each_hamiltonian_and_builds_each_state_once(
+    defect_calls, fresh_memos, tmp_path
+):
+    # the serial 2 x 2 grid over omega_s and beta: two Hamiltonians and one
+    # initial state, against 4 x (4 couplings + H + state) = 24 when each point
+    # measured its own
+    produce("sweep-workers-1", tmp_path)
+    traces = sorted(float(np.trace(a).real) for a in defect_calls)
+    assert traces == pytest.approx([0.0, 0.0, 1.0])  # H, H, state
 
 
 @pytest.mark.parametrize("model", [ReactionModel.haberkorn(2.0, 1.0),
@@ -115,6 +141,26 @@ def test_each_propagation_on_a_linspace_computes_one_exponential(expm_calls, tmp
     # the serial sweep once per point of its 2 x 2 grid
     produce(case, tmp_path)
     assert len(expm_calls) == calls
+
+
+def test_building_baths_leaves_the_shared_couplings_untouched():
+    before = {label: (c.spectral_index, c.matrix) for label, c in COUPLINGS.items()}
+    entries = {label: c.matrix.entries.copy() for label, c in COUPLINGS.items()}
+    spectrum = Lorentzian(amplitude=1e17, tau_c=1e-10)
+    for isotropic in (False, True):
+        for splitting in (None, Lorentzian(amplitude=5e16, tau_c=1e-10)):
+            _, bath = build_bath(ThreeStateParams(omega0=0.0, omega_s=1e9, beta=1e-9,
+                                                  transverse=spectrum, splitting=splitting,
+                                                  isotropic=isotropic))
+            labels = ["x", "y"] + ["z"] * isotropic + ["01"] * (splitting is not None)
+            assert [c.label for c in bath.couplings] == labels
+            assert [c.spectral_index for c in bath.couplings] == list(range(len(labels)))
+            assert all(c is not COUPLINGS[c.label] for c in bath.couplings)
+    assert {label: (c.spectral_index, c.matrix) for label, c in COUPLINGS.items()} == before
+    for label, c in COUPLINGS.items():
+        assert c.spectral_index == 0
+        assert not c.matrix.entries.flags.writeable
+        assert np.array_equal(c.matrix.entries, entries[label])
 
 
 def test_uncorrelated_bath_leaves_the_callers_couplings_untouched():

@@ -645,13 +645,30 @@ class TestSweep:
 
     def test_point_seeds_do_not_repeat_across_master_seeds(self):
         def seeds(master):
-            config = {"scenario": "radii", "seed": master, "parameters": RADII_PARAMS,
-                      "grid": {"D_cm2_per_s": [1e-6, 2e-6, 5e-6]}}
+            config = dict(VALID["oracle"], seed=master,
+                          grid={"omega_s_rad_s": [0.0, 1e12, 2e12]})
             return [task[3] for task in _sweep_tasks(config)]
 
         a, b = seeds(3), seeds(3 + 7919)
         assert len(set(a + b)) == 6
         assert seeds(3) == a
+
+    @pytest.mark.parametrize("scenario, grid, seeded", [
+        ("oracle", {"omega_s_rad_s": [0.0, 1e12, 2e12]}, True),
+        ("three-state", {"omega_s_rad_s": [5e8, 1e9, 2e9]}, False),
+        ("radii", {"D_cm2_per_s": [1e-6, 2e-6, 5e-6]}, False),
+    ])
+    def test_a_point_gets_a_seed_only_where_its_runner_reads_one(
+        self, tmp_path, monkeypatch, scenario, grid, seeded
+    ):
+        seeds = []
+        monkeypatch.setattr(cli, "_run_point",
+                            lambda scenario, params, seed: seeds.append(seed) or ({}, None))
+        cfg = write_config(tmp_path / "cfg.json", dict(VALID[scenario], seed=11, grid=grid))
+        assert main(["sweep", cfg, "--out-dir", str(tmp_path / "out"), "--workers", "1"]) == 0
+        expected = [int(np.random.SeedSequence((11, index)).generate_state(1)[0])
+                    for index in range(3)]
+        assert seeds == (expected if seeded else [None] * 3)
 
     def test_oversized_grid_rejected(self, tmp_path, capsys):
         config = {
@@ -933,6 +950,27 @@ print(seen)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[[], [], []]"
+
+
+def test_serial_three_state_and_radii_sweeps_load_no_numpy_random(tmp_path):
+    """Neither runner reads a seed, so neither sweep derives one."""
+    ts = write_config(tmp_path / "ts.json", three_state_sweep({"omega_s_rad_s": [5e8, 2e9]}))
+    radii = write_config(tmp_path / "radii.json",
+                         dict(VALID["radii"], grid={"D_cm2_per_s": [1e-6, 2e-6]}))
+    code = f"""
+import contextlib, io, sys
+import spinkinetics.cli as cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for cfg, out in (({ts!r}, {str(tmp_path / "ts")!r}), ({radii!r}, {str(tmp_path / "radii")!r})):
+        assert cli.main(["sweep", cfg, "--out-dir", out, "--workers", "1"]) == 0
+print("numpy.random" in sys.modules)
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestFlags:
