@@ -144,8 +144,7 @@ def test_each_propagation_on_a_linspace_computes_one_exponential(expm_calls, tmp
 
 
 def test_building_baths_leaves_the_shared_couplings_untouched():
-    before = {label: (c.spectral_index, c.matrix) for label, c in COUPLINGS.items()}
-    entries = {label: c.matrix.entries.copy() for label, c in COUPLINGS.items()}
+    before = {label: (c.matrix, c.matrix.entries.copy()) for label, c in COUPLINGS.items()}
     spectrum = Lorentzian(amplitude=1e17, tau_c=1e-10)
     for isotropic in (False, True):
         for splitting in (None, Lorentzian(amplitude=5e16, tau_c=1e-10)):
@@ -156,11 +155,11 @@ def test_building_baths_leaves_the_shared_couplings_untouched():
             assert [c.label for c in bath.couplings] == labels
             assert [c.spectral_index for c in bath.couplings] == list(range(len(labels)))
             assert all(c is not COUPLINGS[c.label] for c in bath.couplings)
-    assert {label: (c.spectral_index, c.matrix) for label, c in COUPLINGS.items()} == before
     for label, c in COUPLINGS.items():
-        assert c.spectral_index == 0
-        assert not c.matrix.entries.flags.writeable
-        assert np.array_equal(c.matrix.entries, entries[label])
+        matrix, entries = before[label]
+        assert c.spectral_index == 0 and c.matrix is matrix
+        assert not matrix.entries.flags.writeable
+        assert np.array_equal(matrix.entries, entries)
 
 
 def test_uncorrelated_bath_leaves_the_callers_couplings_untouched():

@@ -657,7 +657,7 @@ class TestSweep:
         ("oracle", {"omega_s_rad_s": [0.0, 1e12, 2e12]}, True),
         ("three-state", {"omega_s_rad_s": [5e8, 1e9, 2e9]}, False),
         ("radii", {"D_cm2_per_s": [1e-6, 2e-6, 5e-6]}, False),
-    ])
+    ], ids=["oracle", "three-state", "radii"])
     def test_a_point_gets_a_seed_only_where_its_runner_reads_one(
         self, tmp_path, monkeypatch, scenario, grid, seeded
     ):
@@ -952,17 +952,20 @@ print(seen)
     assert out.strip() == "[[], [], []]"
 
 
-def test_serial_three_state_and_radii_sweeps_load_no_numpy_random(tmp_path):
-    """Neither runner reads a seed, so neither sweep derives one."""
-    ts = write_config(tmp_path / "ts.json", three_state_sweep({"omega_s_rad_s": [5e8, 2e9]}))
-    radii = write_config(tmp_path / "radii.json",
-                         dict(VALID["radii"], grid={"D_cm2_per_s": [1e-6, 2e-6]}))
+def test_serial_sweeps_of_unseeded_scenarios_load_no_numpy_random(tmp_path):
+    """No three-state, radical-pair or radii runner reads a seed, so none of
+    their sweeps derives one."""
+    grids = {"three-state": {"omega_s_rad_s": [5e8, 2e9]},
+             "radical-pair": {"kappa_s_per_s": [1.0, 2.0]},
+             "radii": {"D_cm2_per_s": [1e-6, 2e-6]}}
+    sweeps = [(write_config(tmp_path / f"{name}.json", dict(VALID[name], grid=grid)),
+               str(tmp_path / name)) for name, grid in grids.items()]
     code = f"""
 import contextlib, io, sys
 import spinkinetics.cli as cli
 
 with contextlib.redirect_stdout(io.StringIO()):
-    for cfg, out in (({ts!r}, {str(tmp_path / "ts")!r}), ({radii!r}, {str(tmp_path / "radii")!r})):
+    for cfg, out in {sweeps!r}:
         assert cli.main(["sweep", cfg, "--out-dir", out, "--workers", "1"]) == 0
 print("numpy.random" in sys.modules)
 """
