@@ -43,6 +43,24 @@ _SWEEP = {
     },
     "grid": {"omega_s_rad_s": [5e8, 2e9], "beta_s": [1e-9, "inf"]},
 }
+#: finite beta: populations move both ways, so the generator is not triangular in the vec basis
+_THREE_STATE_THERMAL = {
+    "scenario": "three-state",
+    "parameters": {**_SWEEP["parameters"], "initial_state": "superposition_12"},
+}
+#: beta = inf and white noise: the generator is lower triangular in the vec basis
+_THREE_STATE_ZERO_TEMPERATURE = {
+    "scenario": "three-state",
+    "parameters": {
+        "omega_s_rad_s": 1e9,
+        "beta_s": "inf",
+        "spectral_density": {"form": "white", "level_rad2_per_s": 1e7},
+        "splitting_density": {"form": "white", "level_rad2_per_s": 5e6},
+        "isotropic": True,
+        "initial_state": "superposition_12",
+        "time_grid": {"t_max_s": 5e-7, "n_points": 51},
+    },
+}
 _RADICAL_PAIR = {
     "scenario": "radical-pair",
     "parameters": {
@@ -94,6 +112,8 @@ def _oracle(kind: str) -> dict:
 CASES = {
     "sweep-workers-1": (["sweep", "--workers", "1"], _SWEEP, "sweep.csv"),
     "sweep-workers-2": (["sweep", "--workers", "2"], _SWEEP, "sweep.csv"),
+    "three-state-thermal": (["run"], _THREE_STATE_THERMAL, "timeseries.csv"),
+    "three-state-zero-temperature": (["run"], _THREE_STATE_ZERO_TEMPERATURE, "timeseries.csv"),
     "radical-pair-csv": (["run", "--format", "csv"], _RADICAL_PAIR, "timeseries.csv"),
     "radical-pair-json": (["run", "--format", "json"], _RADICAL_PAIR, "timeseries.json"),
     "radical-pair-long": (["run", "--format", "csv"], _RADICAL_PAIR_LONG, "timeseries.csv"),
