@@ -10,8 +10,11 @@ Rewrite every file after a change that moves output bytes on purpose:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-It prints, per file, whether the file changed, how many lines moved and the
-first line that differs.
+It prints, per file, whether the file changed, how many lines moved, the
+first line that differs and the largest relative change among the numbers
+that moved, cell by cell. A rewrite that moves a number by more than
+``MOVE_RTOL`` relative, or changes a line beyond its numbers, is named on the
+last line and exits 1; the files are written all the same.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
+import sys
 import tempfile
 from itertools import zip_longest
 from pathlib import Path
@@ -29,6 +34,10 @@ from spinkinetics.cli import main
 
 HERE = Path(__file__).resolve().parent
 VERSIONS = HERE / "versions.json"
+#: a rewrite may move a printed number by at most this much, relative
+MOVE_RTOL = 1e-11
+#: a number standing on its own, not a digit inside a name such as rho_T0T0
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
 _SWEEP = {
     "scenario": "three-state",
@@ -150,7 +159,22 @@ def differing_lines(expected: str, got: str) -> list:
     return [(number, a, b) for number, (a, b) in enumerate(lines, start=1) if a != b]
 
 
-def regenerate() -> None:
+def largest_relative_change(moved: list):
+    """Largest |b - a| / max(|a|, |b|) over the numbers of the moved lines,
+    paired in order; None when a moved line changed beyond its numbers."""
+    worst = 0.0
+    for _, a, b in moved:
+        if _NUMBER.split(a) != _NUMBER.split(b):
+            return None
+        for x, y in zip(map(float, _NUMBER.findall(a)), map(float, _NUMBER.findall(b))):
+            if x != y:
+                worst = max(worst, abs(y - x) / max(abs(x), abs(y)))
+    return worst
+
+
+def regenerate() -> list:
+    """Rewrite every case; return the files moved beyond MOVE_RTOL or their numbers."""
+    beyond = []
     for case in CASES:
         target = HERE / case
         target.mkdir(exist_ok=True)
@@ -168,11 +192,20 @@ def regenerate() -> None:
                 print(f"{case}/{name}: unchanged")
             else:
                 number, a, b = moved[0]
-                print(f"{case}/{name}: changed, {len(moved)} lines; first line {number}: "
-                      f"{a!r} -> {b!r}")
+                worst = largest_relative_change(moved) if before else None
+                if worst is None or worst > MOVE_RTOL:
+                    beyond.append(f"{case}/{name}")
+                change = ("not only numbers" if worst is None
+                          else f"largest relative change {worst:.2g}")
+                print(f"{case}/{name}: changed, {len(moved)} lines, {change}; "
+                      f"first line {number}: {a!r} -> {b!r}")
             path.write_text(text, encoding="utf-8", newline="")
     VERSIONS.write_text(json.dumps(versions(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return beyond
 
 
 if __name__ == "__main__":
-    regenerate()
+    beyond = regenerate()
+    if beyond:
+        print(f"moved beyond {MOVE_RTOL:g} relative or beyond their numbers: {', '.join(beyond)}")
+    sys.exit(1 if beyond else 0)
