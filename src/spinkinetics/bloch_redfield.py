@@ -27,7 +27,8 @@ relaxation rates are produced.
 ``frequency_decompose`` diagonalises and bins H once per Hamiltonian, keyed
 by its entries so that sweep points at equal H share it, and returns one
 coupling in that eigenbasis: V, W and V^dag L V, read as a sequence of
-FrequencyComponents built only on access. COMPONENT_DROP_RTOL
+FrequencyComponents built only on access. The V^dag L V of each coupling is
+kept with its H, keyed by the coupling's entries, for as long as H is. COMPONENT_DROP_RTOL
 drops the Bohr-frequency bins of a coupling whose Frobenius norm is at most
 that fraction of ||L||_F, from its components and from the assembly alike.
 """
@@ -267,8 +268,10 @@ def _cluster_frequencies(freqs: np.ndarray, threshold: float):
     return 0.5 * (reps - reps[::-1]), labels
 
 
-#: (V, Omega-bar, bin labels, bin frequencies) of the BINS_KEPT Hamiltonians
-#: used last, by the bytes of their entries; the arrays are read-only
+#: ((V, Omega-bar, bin labels, bin frequencies), couplings) of the BINS_KEPT
+#: Hamiltonians used last, by the bytes of their entries. ``couplings`` maps
+#: the bytes of a coupling's entries to its V^dag L V and kept bins, for the
+#: BINS_KEPT couplings decomposed first; every array is read-only
 _BINS: "OrderedDict[bytes, tuple]" = OrderedDict()
 BINS_KEPT = 64
 
@@ -278,13 +281,14 @@ def _bohr_bins(h: OperatorMatrix) -> tuple:
 
     Returns the eigenvectors V of H (columns), the binned Bohr frequency
     Omega-bar[j, j'] of nu_j - nu_j', the bin label of each element and the
-    frequency of each bin, in ascending order.
+    frequency of each bin, in ascending order; and the dict of H's decomposed
+    couplings.
     """
     key = h.entries.tobytes()
-    bins = _BINS.get(key)
-    if bins is not None:
+    entry = _BINS.get(key)
+    if entry is not None:
         _BINS.move_to_end(key)
-        return bins
+        return entry
     if not h.is_hermitian(1e-10):
         raise ValidationError("system Hamiltonian must be Hermitian")
     evals, vecs = np.linalg.eigh(0.5 * (h.entries + h.entries.conj().T))
@@ -293,12 +297,13 @@ def _bohr_bins(h: OperatorMatrix) -> tuple:
     threshold = FREQUENCY_BIN_RTOL * (scale if scale > 0 else 1.0)
     reps, labels = _cluster_frequencies(freq_matrix.reshape(-1), threshold)
     labels = labels.reshape(freq_matrix.shape)
-    bins = _BINS[key] = (vecs, reps[labels], labels, reps)
+    bins = (vecs, reps[labels], labels, reps)
     for a in bins:
         a.setflags(write=False)
+    entry = _BINS[key] = (bins, {})
     if len(_BINS) > BINS_KEPT:
         _BINS.popitem(last=False)
-    return bins
+    return entry
 
 
 class Eigenoperators(Sequence):
@@ -344,15 +349,22 @@ def frequency_decompose(
     lam = coupling.matrix if isinstance(coupling, CouplingOperator) else coupling
     if h.basis != lam.basis:
         raise DimensionMismatchError("Hamiltonian and coupling live on different bases")
-    bins = _bohr_bins(h)
-    vecs, _, labels, reps = bins
-    lam_eig = vecs.conj().T @ lam.entries @ vecs
-    norms = np.sqrt(np.bincount(labels.reshape(-1), np.abs(lam_eig.reshape(-1)) ** 2,
-                                minlength=reps.size))
-    kept = norms > COMPONENT_DROP_RTOL * np.linalg.norm(lam.entries)
-    lam_eig[~kept[labels]] = 0.0
-    lam_eig.setflags(write=False)
-    return Eigenoperators(h.basis, bins, lam_eig, np.flatnonzero(kept))
+    bins, couplings = _bohr_bins(h)
+    key = lam.entries.tobytes()
+    part = couplings.get(key)
+    if part is None:
+        vecs, _, labels, reps = bins
+        lam_eig = vecs.conj().T @ lam.entries @ vecs
+        norms = np.sqrt(np.bincount(labels.reshape(-1), np.abs(lam_eig.reshape(-1)) ** 2,
+                                    minlength=reps.size))
+        kept = norms > COMPONENT_DROP_RTOL * np.linalg.norm(lam.entries)
+        lam_eig[~kept[labels]] = 0.0
+        part = (lam_eig, np.flatnonzero(kept))
+        for a in part:
+            a.setflags(write=False)
+        if len(couplings) < BINS_KEPT:
+            couplings[key] = part
+    return Eigenoperators(h.basis, bins, *part)
 
 
 # ---------------------------------------------------------------------------

@@ -577,6 +577,13 @@ class TestEigenbasisAssembly:
         relaxation_supermatrix(bath, build_bath(replace(p, omega_s=2e9))[0])
         assert len(eigh_calls) == 2
 
+    def test_a_coupling_is_taken_into_the_eigenbasis_once_per_hamiltonian(self, eigh_calls):
+        h, bath = build_bath(_transverse_params())
+        first = frequency_decompose(h, bath.couplings[0])
+        again = frequency_decompose(build_bath(_transverse_params())[0], bath.couplings[0])
+        assert again.entries is first.entries
+        assert frequency_decompose(h, bath.couplings[1]).entries is not first.entries
+
     def test_the_least_recently_used_hamiltonian_is_dropped_past_the_bound(self, eigh_calls):
         def assemble(omega_s):
             h, bath = build_bath(replace(_transverse_params(), omega_s=omega_s))
