@@ -11,10 +11,27 @@ Conventions shared by the whole package:
   constructors and the CLI schema. Package code that derives one checked value
   from another (a matrix Hermitian by construction, a relabelled coupling, a
   generator summed from checked parts) does not check it again.
+
+Every generator the package builds preserves Hermiticity: -i[H, .], the
+Redfield R and the reaction K. In the Hermitian operator basis E_jj,
+E_jk + E_kj and i(E_jk - E_kj) (j < k) such a map is a real N^2 x N^2 matrix
+and a density matrix has real coordinates (Havel, J. Math. Phys. 44, 534
+(2003)). ``propagate``, ``infinite_time_integral`` and ``Superoperator.norm``
+therefore map the generator into that basis once and run their linear algebra
+on real arrays. The map pairs the (j, k) and (k, j) columns, then the rows;
+its factors are 1/2 and +-i, so a Hermitian state goes to real coordinates and
+back bit for bit. A superoperator whose imaginary part in that basis exceeds
+``HERMITIAN_RTOL`` of its largest entry does not preserve Hermiticity, and
+these three raise NumericalError for it. One exception: a generator that is
+triangular in the vec basis (three-state at beta = inf, where H is diagonal)
+keeps that basis, because ``expm`` is exact on the diagonal of a triangular
+matrix and rotating coherences into real 2 x 2 blocks would lose that.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -204,9 +221,12 @@ class Superoperator:
         return unvectorize(self.matrix @ vectorize(rho), self.dim)
 
     def norm(self) -> float:
-        """Spectral norm, in s^-1, from an SVD on one BLAS thread."""
+        """Spectral norm, in s^-1, from an SVD on one BLAS thread (see
+        :func:`_working_form`); NumericalError if the map does not preserve
+        Hermiticity."""
+        g, real = _working_form(self)
         with one_thread(self.matrix.shape[0]):
-            return float(np.linalg.norm(self.matrix, 2))
+            return _spectral_norm(g, self.dim, real)
 
     def __repr__(self):
         return f"Superoperator(basis={self.basis.names}, dim={self.dim})"
@@ -270,6 +290,92 @@ def assemble_generator(
 
 
 # ---------------------------------------------------------------------------
+# the Hermitian operator basis
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _pairs(n: int) -> tuple:
+    """Read-only vec positions of (j, k) and of (k, j) for j < k, and the
+    spectral-norm scale of each coordinate (1 on the diagonal, sqrt 2 off it).
+
+    A coordinate sits where its vec entry does: x[jj] = rho[j, j],
+    x[jk] = Re rho[j, k] and x[kj] = Im rho[j, k], so that
+    rho = sum x[jj] E_jj + sum_{j<k} x[jk] (E_jk + E_kj) + x[kj] i(E_jk - E_kj).
+    """
+    j, k = np.triu_indices(n, 1)
+    scale = np.ones(n * n)
+    scale[j * n + k] = scale[k * n + j] = math.sqrt(2.0)
+    pairs = (j * n + k, k * n + j, scale)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
+def _real_coordinates(v: np.ndarray, n: int) -> np.ndarray:
+    """Real coordinates of the vec of a Hermitian matrix."""
+    upper, lower, _ = _pairs(n)
+    x = v.real.copy()
+    x[lower] = v.imag[upper]
+    return x
+
+
+def _vec_of_coordinates(x: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`_real_coordinates` along the last axis of ``x``."""
+    upper, lower, _ = _pairs(n)
+    v = x.astype(complex)
+    v.real[..., lower] = x[..., upper]
+    v.imag[..., upper] = x[..., lower]
+    v.imag[..., lower] = -x[..., lower]
+    return v
+
+
+def _hermitian_form(matrix: np.ndarray, n: int) -> np.ndarray:
+    """T^-1 G T for the basis change T of :func:`_pairs`, as a real array.
+
+    NumericalError if its imaginary part exceeds HERMITIAN_RTOL of its
+    largest entry: G does not preserve Hermiticity.
+    """
+    upper, lower, _ = _pairs(n)
+    m = matrix.copy()
+    a, b = matrix[:, upper], matrix[:, lower]
+    m[:, upper] = a + b
+    m[:, lower] = 1j * (a - b)
+    a, b = m[upper], m[lower]
+    m[upper] = 0.5 * (a + b)
+    m[lower] = -0.5j * (a - b)
+    largest, defect = np.abs(m.real).max(), np.abs(m.imag).max()
+    if defect > HERMITIAN_RTOL * largest:
+        raise NumericalError(
+            "superoperator does not preserve Hermiticity: its imaginary part in the "
+            f"Hermitian operator basis reaches {defect:.3e} against a largest entry of "
+            f"{largest:.3e} (tolerance {HERMITIAN_RTOL:g} relative)")
+    return np.ascontiguousarray(m.real)
+
+
+def _working_form(l: Superoperator) -> tuple:
+    """(generator, whether it is in the Hermitian basis) for the linear algebra.
+
+    The Hermitian form is always taken, so a map that does not preserve
+    Hermiticity raises NumericalError; a generator triangular in the vec
+    basis is returned as it is (see the module docstring).
+    """
+    form = _hermitian_form(l.matrix, l.dim)
+    rows, cols = np.nonzero(l.matrix)
+    if not (cols > rows).any() or not (cols < rows).any():
+        return l.matrix, False
+    return form, True
+
+
+def _spectral_norm(g: np.ndarray, n: int, real: bool) -> float:
+    """||G||_2 from its working form: the Hermitian form is rescaled to the
+    orthonormal basis, where it is unitarily similar to G."""
+    if real:
+        scale = _pairs(n)[2]
+        g = scale[:, np.newaxis] * g / scale
+    return float(np.linalg.norm(g, 2))
+
+
+# ---------------------------------------------------------------------------
 # propagation and infinite-time integrals
 # ---------------------------------------------------------------------------
 
@@ -327,8 +433,8 @@ def _validated_times(times) -> np.ndarray:
 
 
 def _expm_steps(generator: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(n_times, len(v0)) complex array of exp(generator t_k) v0, stepping time
-    to time.
+    """(n_times, len(v0)) array of exp(generator t_k) v0, stepping time to
+    time, with ``v0``'s dtype.
 
     One matrix exponential per step length, within ``STEP_RTOL``: a step
     reuses the matrix of the last one computed when the two lengths agree
@@ -338,10 +444,11 @@ def _expm_steps(generator: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.
 
     The step lengths are taken once, as Python floats (the same subtraction
     as ``t_k - t_{k-1}``), and each product is written straight into its row
-    of the result: no numpy scalar and no temporary vector per step. ``v0`` is
-    complex, as every caller's is, so every product has the dtype of its row.
+    of the result: no numpy scalar and no temporary vector per step. A real
+    generator takes real ``v0`` (the Hermitian basis), a complex one complex
+    ``v0``, so every product has the dtype of its row.
     """
-    out = np.empty((times.size, v0.size), dtype=complex)
+    out = np.empty((times.size, v0.size), dtype=v0.dtype)
     v = v0
     step, length = None, 0.0
     for k, dt in enumerate(np.diff(times, prepend=0.0).tolist()):
@@ -361,13 +468,18 @@ def propagate(l: Superoperator, rho0: DensityMatrix, times: Iterable[float]) -> 
     """Solve rho(t) = exp(L t) rho0 on the given time grid.
 
     Steps with dense matrix exponentials (scaling and squaring), one matrix
-    exponential per step length, within ``STEP_RTOL``.
+    exponential per step length, within ``STEP_RTOL``, in the Hermitian basis
+    (see the module docstring).
     """
     _check_same_basis(l, rho0, "propagate")
     t = _validated_times(times)
     n = l.dim
+    g, real = _working_form(l)
+    v0 = vectorize(rho0.entries)
     with one_thread(n * n):
-        vectors = _expm_steps(l.matrix, vectorize(rho0.entries), t)
+        vectors = _expm_steps(g, _real_coordinates(v0, n) if real else v0, t)
+    if real:
+        vectors = _vec_of_coordinates(vectors, n)
     return Propagation(l.basis, t, _density_stack(vectors.reshape(t.size, n, n), t))
 
 
@@ -379,14 +491,17 @@ def infinite_time_integral(l: Superoperator, rho0: DensityMatrix) -> OperatorMat
     unreactive population that never mixes).
     """
     _check_same_basis(l, rho0, "infinite_time_integral")
-    with one_thread(l.matrix.shape[0]):
-        norm = l.norm()
-        eigs = np.linalg.eigvals(l.matrix)
+    n = l.dim
+    g, real = _working_form(l)
+    v0 = vectorize(rho0.entries)
+    with one_thread(n * n):
+        norm = _spectral_norm(g, n, real)
+        eigs = np.linalg.eigvals(g)
         if norm == 0.0 or eigs.real.max() >= -DECAY_MARGIN * norm:
             raise NonDecayingGeneratorError(
                 "generator has non-decaying modes "
                 f"(max Re eigenvalue {eigs.real.max():.3e} vs norm {norm:.3e})"
             )
-        x = np.linalg.solve(-l.matrix, vectorize(rho0.entries))
-    xm = unvectorize(x, l.dim)
+        x = np.linalg.solve(-g, _real_coordinates(v0, n) if real else v0)
+    xm = unvectorize(_vec_of_coordinates(x, n) if real else x, n)
     return OperatorMatrix(l.basis, 0.5 * (xm + xm.conj().T))

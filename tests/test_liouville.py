@@ -10,7 +10,10 @@ from _util import (
     reference_matmul_expm_steps,
     reference_rk_propagate,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
+from test_bloch_redfield import baths
 
 from spinkinetics import (
     BasisLabel,
@@ -24,6 +27,7 @@ from spinkinetics import (
     OperatorMatrix,
     Superoperator,
     ValidationError,
+    WhiteNoise,
     assemble_generator,
     infinite_time_integral,
     propagate,
@@ -35,11 +39,16 @@ from spinkinetics.liouville import (
     STEP_RTOL,
     _anticommutator,
     _commutator,
+    _density_stack,
     _expm_steps,
+    _hermitian_form,
     _projector_dephasing,
+    _real_coordinates,
     _sandwich,
+    _vec_of_coordinates,
     vectorize,
 )
+from spinkinetics.three_state import THREE_STATE_BASIS, ThreeStateParams, build_bath
 
 B3 = BasisLabel(("0", "1", "2"))
 B4 = BasisLabel(("a", "b", "c", "d"))
@@ -452,3 +461,110 @@ class TestDensityValidation:
 
     def test_decayed_trace_allowed(self):
         DensityMatrix(B3, np.diag([0.1, 0.05, 0.0]))
+
+
+@st.composite
+def hermiticity_preserving_generators(draw):
+    """A random Lindblad generator, or a Redfield one whose H may be near-degenerate."""
+    if draw(st.booleans()):
+        h, bath = draw(baths())
+        return assemble_generator(h, relaxers=[relaxation_supermatrix(bath, h)])
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _random_lindblad_generator(rng, BasisLabel(tuple(str(k) for k in range(n))))
+
+
+def _basis_change(n):
+    """Dense T with vec(rho) = T x for the Hermitian-basis coordinates x."""
+    t = np.eye(n * n, dtype=complex)
+    for j in range(n):
+        for k in range(j + 1, n):
+            jk, kj = j * n + k, k * n + j
+            t[kj, jk] = 1.0
+            t[jk, kj], t[kj, kj] = 1j, -1j
+    return t
+
+
+def _mixed_state(basis, rng):
+    """Half a random state, half the maximally mixed one: far from the positivity floor."""
+    n = basis.dim
+    return DensityMatrix(basis, 0.5 * random_density(n, rng) + 0.5 * np.eye(n) / n)
+
+
+_HERMITIAN_BASIS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+class TestHermitianBasis:
+    @_HERMITIAN_BASIS
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_hermitian_vectors_go_to_real_coordinates_and_back_exactly(self, n, seed):
+        rng = np.random.default_rng(seed)
+        basis = BasisLabel(tuple(str(k) for k in range(n)))
+        for rho in (random_hermitian(n, rng), DensityMatrix(basis, random_density(n, rng)).entries):
+            v = vectorize(rho)
+            x = _real_coordinates(v, n)
+            assert x.dtype == float
+            assert np.array_equal(_vec_of_coordinates(x, n), v)
+            assert np.array_equal(_basis_change(n) @ x, v)
+
+    @_HERMITIAN_BASIS
+    @given(hermiticity_preserving_generators())
+    def test_the_real_form_is_the_similarity_transform(self, gen):
+        t = _basis_change(gen.dim)
+        want = np.linalg.solve(t, gen.matrix @ t)
+        assert np.abs(want.imag).max() <= 1e-14 * np.abs(gen.matrix).max()
+        got = _hermitian_form(gen.matrix, gen.dim)
+        assert got.dtype == float
+        assert np.abs(got - want.real).max() <= 1e-14 * np.abs(gen.matrix).max()
+
+    @_HERMITIAN_BASIS
+    @given(hermiticity_preserving_generators())
+    def test_the_norm_matches_the_complex_svd(self, gen):
+        want = np.linalg.norm(gen.matrix, 2)
+        assert gen.norm() == pytest.approx(want, rel=1e-14)
+
+    @_HERMITIAN_BASIS
+    @given(hermiticity_preserving_generators(), st.integers(0, 2**32 - 1))
+    def test_propagation_matches_the_vec_basis(self, gen, seed):
+        rho0 = _mixed_state(gen.basis, np.random.default_rng(seed))
+        times = np.linspace(0.0, 3.0 / gen.norm(), 21)
+        got = propagate(gen, rho0, times).states
+        n = gen.dim
+        want = _density_stack(_expm_steps(gen.matrix, vectorize(rho0.entries), times)
+                              .reshape(times.size, n, n))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @_HERMITIAN_BASIS
+    @given(hermiticity_preserving_generators(), st.integers(0, 2**32 - 1))
+    def test_the_infinite_time_integral_matches_the_vec_basis(self, gen, seed):
+        n = gen.dim
+        decaying = Superoperator(gen.basis, gen.matrix - 0.5 * gen.norm() * np.eye(n * n))
+        rho0 = _mixed_state(gen.basis, np.random.default_rng(seed))
+        got = infinite_time_integral(decaying, rho0).entries
+        x = np.linalg.solve(-decaying.matrix, vectorize(rho0.entries)).reshape(n, n)
+        want = 0.5 * (x + x.conj().T)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_map_that_does_not_preserve_hermiticity_is_a_numerical_error(self, n):
+        rng = np.random.default_rng(30 + n)
+        basis = BasisLabel(tuple(str(k) for k in range(n)))
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))  # rho -> a rho
+        sup = Superoperator(basis, _sandwich(a, np.eye(n)) - 10.0 * np.eye(n * n))
+        rho0 = DensityMatrix.maximally_mixed(basis)
+        for call in (sup.norm, lambda: propagate(sup, rho0, [0.1, 0.2]),
+                     lambda: infinite_time_integral(sup, rho0)):
+            with pytest.raises(NumericalError, match="does not preserve Hermiticity"):
+                call()
+
+    def test_a_triangular_generator_keeps_the_vec_basis(self):
+        p = ThreeStateParams(omega0=0.0, omega_s=1e9, beta=np.inf, transverse=WhiteNoise(1e7),
+                             isotropic=True)
+        h, bath = build_bath(p)
+        gen = assemble_generator(h, relaxers=[relaxation_supermatrix(bath, h)])
+        assert not np.triu(gen.matrix, 1).any()
+        rho0 = DensityMatrix.pure(THREE_STATE_BASIS, [0, 0.6, 0.8])
+        times = np.linspace(0.0, 5e-7, 11)
+        want = _density_stack(_expm_steps(gen.matrix, vectorize(rho0.entries), times)
+                              .reshape(times.size, 3, 3))
+        assert propagate(gen, rho0, times).states.tobytes() == want.tobytes()
