@@ -28,9 +28,10 @@ relaxation rates are produced.
 by its entries so that sweep points at equal H share it, and returns one
 coupling in that eigenbasis: V, W and V^dag L V, read as a sequence of
 FrequencyComponents built only on access. The V^dag L V of each coupling is
-kept with its H, keyed by the coupling's entries, for as long as H is. COMPONENT_DROP_RTOL
-drops the Bohr-frequency bins of a coupling whose Frobenius norm is at most
-that fraction of ||L||_F, from its components and from the assembly alike.
+kept with its H, keyed by the coupling's entries, for as long as H is.
+COMPONENT_DROP_RTOL drops the Bohr-frequency bins of a coupling whose
+Frobenius norm is at most that fraction of ||L||_F, from its components and
+from the assembly alike.
 """
 
 from __future__ import annotations
