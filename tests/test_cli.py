@@ -484,25 +484,31 @@ class TestSweep:
             2 * by_variant["haberkorn"], rel=1e-9
         )
 
-    def test_single_point_grid_matches_run(self, tmp_path):
-        params = dict(RADII_PARAMS)
-        run_cfg = write_config(
-            tmp_path / "run.json", {"scenario": "radii", "parameters": params}
-        )
-        sweep_cfg = write_config(
-            tmp_path / "sweep.json",
-            {
-                "scenario": "radii",
-                "parameters": params,
-                "grid": {"Q_per_s": [1e9]},
-            },
-        )
+    @pytest.mark.parametrize("config, grid", [
+        (VALID["three-state"], {"omega_s_rad_s": [1e9]}),
+        (VALID["radical-pair"], {"kappa_s_per_s": [2.0]}),
+        (with_params("radical-pair", compute_yields=False), {"kappa_s_per_s": [2.0]}),
+        (VALID["radii"], {"Q_per_s": [1e9]}),
+    ], ids=["three-state", "radical-pair-yields", "radical-pair-no-yields", "radii"])
+    def test_single_point_grid_matches_run(self, tmp_path, config, grid):
+        run_cfg = write_config(tmp_path / "run.json", config)
+        sweep_cfg = write_config(tmp_path / "sweep.json", dict(config, grid=grid))
         assert main(["run", run_cfg, "--out-dir", str(tmp_path / "a")]) == 0
         assert main(["sweep", sweep_cfg, "--out-dir", str(tmp_path / "b")]) == 0
-        summary = read_summary(tmp_path / "a")
+        results = cli._flatten(read_summary(tmp_path / "a")["results"])
         header, rows = read_csv(tmp_path / "b" / "sweep.csv")
-        col = header.index("l_ST_minus_d_cm")
-        assert float(rows[0][col]) == summary["results"]["l_ST_minus_d_cm"]
+        assert len(rows) == 1
+        row = dict(zip(header, rows[0]))
+        assert sorted(header) == sorted([*grid, *results])
+
+        def cell(value):  # a summary value as sweep.csv prints it
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            return "" if value is None else f"{value:.12g}"
+
+        assert {key: row[key] for key in results} == {
+            key: cell(value) for key, value in results.items()
+        }
 
     def test_swept_tau_c_reaches_the_validity_columns(self, tmp_path):
         taus = [5e-11, 2e-10]
