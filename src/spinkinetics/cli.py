@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -34,7 +35,6 @@ import numpy as np
 from . import bloch_redfield as br
 from . import diffusion, radical_pair, stochastic, three_state
 from ._blas import one_thread
-from ._blas import threads as _blas_threads  # noqa: F401  (the pool tests read counts here)
 from .errors import (
     NumericalError,
     RegimeError,
@@ -50,6 +50,8 @@ EXIT_NUMERICAL = 4
 
 SWEEP_MAX_POINTS = 1_000_000
 SWEEP_MAX_PARAMS = 3
+#: points of a time grid: a propagated pair-state series holds about 1 kB per point
+TIME_GRID_MAX_POINTS = 100_000
 #: rows of a time series formatted by one string operation
 SERIES_BLOCK_ROWS = 256
 
@@ -156,10 +158,12 @@ _NONNEGATIVE = _number(0.0)
 _POSITIVE = _number(0.0, strict=True)
 
 
-def _integer(low: int):
+def _integer(low: int, high: float = math.inf):
     def check(value, where):
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise ConfigError(f"{where} must be an integer >= {low}")
+        if value > high:
+            raise ConfigError(f"{where} must be at most {high}")
         return value
     return check
 
@@ -226,7 +230,8 @@ def _density(value, where):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-_TIME_GRID = {"t_max_s": (REQUIRED, _POSITIVE), "n_points": (201, _integer(2))}
+_TIME_GRID = {"t_max_s": (REQUIRED, _POSITIVE),
+              "n_points": (201, _integer(2, TIME_GRID_MAX_POINTS))}
 
 
 def _grid(value, where):
@@ -265,11 +270,9 @@ def _state_series(gen, rho0, params, available):
     return ["t_s", *names], np.column_stack([prop.times] + [column(available[c]) for c in names])
 
 
-def _validity_block(tau_c, superop=None, report=None):
-    """The ``validity`` results block: ``report``, or the check of ``superop`` at
-    ``tau_c``; a block of None results when there is nothing to check."""
-    if report is None and superop is not None and tau_c is not None:
-        report = br.validity_check(superop, tau_c)
+def _validity_block(tau_c, report):
+    """The ``validity`` results block of ``report``, the validity check at
+    ``tau_c``; a block of None results when nothing was checked."""
     if report is None:
         return {"ratio": None, "tau_c_s": tau_c, "pass": None, "strong_pass": None}
     return {
@@ -278,6 +281,11 @@ def _validity_block(tau_c, superop=None, report=None):
         "pass": report.passes,
         "strong_pass": report.strong_pass,
     }
+
+
+def _rate_block(elements) -> dict:
+    """The results block of radical-pair rate elements: in-cage or of a reaction model."""
+    return {"k_SS_per_s": elements.k_ss, "k_TT_per_s": elements.k_tt, "k_ST_per_s": elements.k_st}
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +316,6 @@ _THREE_STATE = {
 }
 
 
-@functools.cache
-def _ts_state(name: str) -> DensityMatrix:
-    """The initial state ``name``, built on its first use and shared after
-    (a DensityMatrix is read-only)."""
-    return DensityMatrix.pure(three_state.THREE_STATE_BASIS, _TS_STATES[name])
-
-
 def _run_three_state(params: dict, seed, workers):
     p = three_state.ThreeStateParams(
         omega0=params["omega0_rad_s"],
@@ -330,19 +331,13 @@ def _run_three_state(params: dict, seed, workers):
     tau_c = params.get("tau_c_s")
     if tau_c is None and isinstance(p.transverse, br.Lorentzian):
         tau_c = p.transverse.tau_c
-    rho0 = _ts_state(params["initial_state"])
+    rho0 = _initial_state("three-state", params["initial_state"])
     series = _state_series(assemble_generator(h, relaxers=[relax]), rho0, params, _TS_COLUMNS)
     results = {
-        "rates": {
-            "w11_per_s": rates.w11,
-            "w22_per_s": rates.w22,
-            "wn_per_s": rates.wn,
-            "w01_per_s": rates.w01,
-            "w02_per_s": rates.w02,
-            "wbar01_per_s": rates.wbar01,
-            "wbarn_per_s": rates.wbarn,
-        },
-        "validity": _validity_block(tau_c, relax),
+        "rates": {f"{f.name}_per_s": getattr(rates, f.name) for f in dataclasses.fields(rates)},
+        "validity": _validity_block(
+            tau_c, None if tau_c is None else br.validity_check(relax, tau_c)
+        ),
     }
     return results, series
 
@@ -361,6 +356,21 @@ _RP_STATES = {
     "superposition_ST0": [1 / math.sqrt(2), 0, 1 / math.sqrt(2), 0],
     "mixed": None,
 }
+#: scenario -> (basis, its initial states: name -> amplitudes, None for maximally mixed)
+_STATES = {"three-state": (three_state.THREE_STATE_BASIS, _TS_STATES),
+           "radical-pair": (radical_pair.PAIR_BASIS, _RP_STATES)}
+
+
+@functools.cache
+def _initial_state(scenario: str, name: str) -> DensityMatrix:
+    """The initial state ``name`` of ``scenario``, built on its first use and
+    shared after (a DensityMatrix is read-only)."""
+    basis, states = _STATES[scenario]
+    if states[name] is None:
+        return DensityMatrix.maximally_mixed(basis)
+    return DensityMatrix.pure(basis, states[name])
+
+
 _KS_KT = {"kappa_s_per_s": (REQUIRED, _NONNEGATIVE), "kappa_t_per_s": (REQUIRED, _NONNEGATIVE)}
 _REACTIONS = {  # variant -> (ReactionModel factory, the schema of its rates in order)
     "haberkorn": (radical_pair.ReactionModel.haberkorn, _KS_KT),
@@ -393,14 +403,8 @@ def _run_radical_pair(params: dict, seed, workers):
         delta_omega=params["delta_omega_rad_s"],
         j_exchange=params["j_exchange_rad_s"],
     )
-    elements = radical_pair.rate_elements(model)
     fit = radical_pair.coherence_decay_rate(model, h)
-    name = params["initial_state"]
-    rho0 = (
-        DensityMatrix.maximally_mixed(radical_pair.PAIR_BASIS)
-        if name == "mixed"
-        else DensityMatrix.pure(radical_pair.PAIR_BASIS, _RP_STATES[name])
-    )
+    rho0 = _initial_state("radical-pair", params["initial_state"])
     yields_block = None
     if params["compute_yields"]:
         y = radical_pair.recombination_yields(model, h, rho0)
@@ -408,20 +412,15 @@ def _run_radical_pair(params: dict, seed, workers):
     series = _state_series(radical_pair.generator(model, h), rho0, params, _RP_COLUMNS)
     tau_c = params.get("tau_c_s")
     results = {
-        "rate_elements": {
-            "k_SS_per_s": elements.k_ss,
-            "k_TT_per_s": elements.k_tt,
-            "k_ST_per_s": elements.k_st,
-        },
+        "rate_elements": _rate_block(radical_pair.rate_elements(model)),
         "coherence": {
             "rate_per_s": fit.rate,
             "fit_residual": fit.residual,
             "exponential": fit.exponential,
         },
         "yields": yields_block,
-        "validity": _validity_block(
-            tau_c, None if tau_c is None else radical_pair.reaction_supermatrix(model)
-        ),
+        "validity": _validity_block(tau_c, None if tau_c is None else br.validity_check(
+            radical_pair.reaction_supermatrix(model), tau_c)),
     }
     return results, series
 
@@ -467,17 +466,13 @@ def _run_radii(params: dict, seed, workers):
         "l_ST_cm": radii.l_st,
         "l_ST_minus_d_cm": radii.l_st - p.d,
     }
-    validity_superop = None
+    validity = None
     if p.z_cage is not None:
         rates = diffusion.cage_rates(radii, p)
-        results["cage"] = {
-            "k_SS_per_s": rates.k_ss,
-            "k_TT_per_s": rates.k_tt,
-            "k_ST_per_s": rates.k_st,
-        }
+        results["cage"] = _rate_block(rates)
         model = diffusion.to_reaction_model(rates)
         if p.tau_c is not None:
-            validity_superop = radical_pair.reaction_supermatrix(model)
+            validity = br.validity_check(radical_pair.reaction_supermatrix(model), p.tau_c)
     if p.lambda_amp is not None and p.tau_c is not None:
         results["kappa_ST_estimate_per_s"] = diffusion.st_dephasing_rate_estimate(p)
     if p.q_spin is not None:
@@ -492,7 +487,7 @@ def _run_radii(params: dict, seed, workers):
         "relative_gap": report.relative_gap,
         "radii_match": report.radii_match,
     }
-    results["validity"] = _validity_block(p.tau_c, validity_superop)
+    results["validity"] = _validity_block(p.tau_c, validity)
     return results, None
 
 
@@ -553,7 +548,7 @@ def _run_oracle(params: dict, seed, workers):
         "w11_assembled_per_s": report.w11_assembled,
         "relative_difference": report.relative_difference,
         "agrees_within_10pct": report.agrees_within_10pct,
-        "validity": _validity_block(process.tau_c, report=report.validity),
+        "validity": _validity_block(process.tau_c, report.validity),
     }
     z = run.rho01  # hypot, not np.abs: it rounds exactly like Python's abs(complex)
     table = np.column_stack(
@@ -612,13 +607,6 @@ def _load_config(args) -> dict:
     return doc
 
 
-def _normalize_config(doc: dict, *, sweep: bool) -> dict:
-    """Check a config's envelope: the config as given plus its static defaults.
-    Its parameters are checked here only as an object."""
-    schema = {**_CONFIG, "grid": (REQUIRED, _grid)} if sweep else _CONFIG
-    return _block(schema, doc, "config")[0]
-
-
 def _check_parameters(scenario: str, block):
     """Check a run's or a sweep point's parameters by the scenario's schema, then
     by its check of the keys that span each other: (the block as given plus its
@@ -661,23 +649,25 @@ def _flatten(results: dict, prefix: str = "") -> dict:
 
 
 def _write_text(path: Path, text) -> None:
-    """Write one output file from its text, or from its pieces of text in order;
-    a path that cannot be written is a config error."""
+    """Write one output file from its text, or from its pieces of text in order,
+    and name it on stdout; a path that cannot be written is a config error."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise ConfigError(f"output file {str(path)!r} cannot be written: {exc}") from None
+    print(f"wrote {path}")
 
 
-def _write_summary(path: Path, config: dict, results: dict, wall_time: float) -> None:
+def _write_summary(out_dir: Path, config: dict, results: dict, started: float) -> None:
+    """Write ``summary.json``, last: it exists only for a complete run or sweep."""
     summary = {
         "scenario": config["scenario"],
         "inputs": config,
         "results": _round_tree(results),
-        "wall_time_s": round(wall_time, 6),
+        "wall_time_s": round(time.monotonic() - started, 6),
     }
-    _write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_text(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _csv_text(rows) -> str:
@@ -686,57 +676,23 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
-def _write_table(path: Path, columns, rows) -> None:
-    """The CSV writer of mixed cells (bool, None, str, float): ``sweep.csv``.
-    The header, then a line of ``_fmt`` cells per row."""
-    lines = itertools.chain([columns], ([_fmt(v) for v in row] for row in rows))
-    _write_text(path, _csv_text(lines))
-
-
-def _series_blocks(table: np.ndarray):
-    """(row count, flat tuple of Python floats) for each block of
-    ``SERIES_BLOCK_ROWS`` rows: one block's floats are alive at a time."""
+def _series_pieces(columns, table: np.ndarray, fmt: str):
+    """The text of ``timeseries.csv`` (``timeseries.json`` for ``fmt`` "json")
+    for the (n_times, n_cols) series ``table``, in pieces; every cell printed
+    with ``%.12g``. A CSV piece is a block of ``SERIES_BLOCK_ROWS`` rows, one
+    string operation, so one block's floats are alive at a time. JSON is one
+    piece: a record per row of the floats the cells read back to, in which a
+    repeated column keeps its first place and its last value, as in a dict.
+    """
+    if fmt == "json":
+        records = [dict(zip(columns, map(_round12, row))) for row in table.tolist()]
+        yield json.dumps(records, indent=2) + "\n"
+        return
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    yield _csv_text([columns])
     for start in range(0, table.shape[0], SERIES_BLOCK_ROWS):
         block = table[start : start + SERIES_BLOCK_ROWS]
-        yield block.shape[0], tuple(block.ravel().tolist())
-
-
-def _series_pieces(columns, table: np.ndarray, fmt: str):
-    """``timeseries.csv`` (``timeseries.json`` for ``fmt`` "json") of a table of
-    at least one row, in pieces of ``SERIES_BLOCK_ROWS`` rows, each piece one
-    string-format operation.
-
-    Every cell is printed with ``%.12g``: in CSV as is, in JSON as the float it
-    reads back to, printed as ``json.dumps`` prints it, one record per row. As
-    in a dict, a repeated column keeps its first place and its last value.
-    """
-    if fmt != "json":
-        row = ",".join(["%.12g"] * table.shape[1]) + "\n"
-        yield _csv_text([columns])
-        for n, values in _series_blocks(table):
-            yield row * n % values
-        return
-    keep = {name: i for i, name in enumerate(columns)}
-    record = "  {\n" + ",\n".join(
-        f"    {json.dumps(name).replace('%', '%%')}: %s" for name in keep) + "\n  }"
-    opening = "[\n"
-    for n, values in _series_blocks(table[:, list(keep.values())]):
-        printed = (",".join(["%.12g"] * len(values)) % values).split(",")
-        # json.dumps of a flat list runs the C encoder, which prints each float
-        # as the indenting encoder does, NaN and Infinity included
-        numbers = json.dumps(list(map(float, printed)))[1:-1].split(", ")
-        yield opening + ",\n".join([record] * n) % tuple(numbers)
-        opening = ",\n"
-    yield "\n]\n"
-
-
-def _write_series(out_dir: Path, columns, table: np.ndarray, fmt: str) -> Path:
-    """Write the (n_times, n_cols) series ``table`` under ``columns`` as
-    ``timeseries.csv`` or ``timeseries.json``, a block of rows at a time; see
-    :func:`_series_pieces`."""
-    path = out_dir / ("timeseries.json" if fmt == "json" else "timeseries.csv")
-    _write_text(path, _series_pieces(columns, table, fmt))
-    return path
+        yield row * block.shape[0] % tuple(block.ravel().tolist())
 
 
 def _cpus() -> int:
@@ -774,7 +730,8 @@ def _run_point(scenario: str, params: dict, seed, workers: int = 1):
 
 def _checked_config(doc: dict, *, sweep: bool):
     """(inputs, run parameters or sweep tasks): every check, grid points included."""
-    inputs = _normalize_config(doc, sweep=sweep)
+    schema = {**_CONFIG, "grid": (REQUIRED, _grid)} if sweep else _CONFIG
+    inputs = _block(schema, doc, "config")[0]
     if sweep:
         return inputs, list(_sweep_tasks(inputs))
     inputs["parameters"], params = _check_parameters(inputs["scenario"], inputs["parameters"])
@@ -796,11 +753,10 @@ def cmd_run(args) -> int:
     config, params = _checked_config(_load_config(args), sweep=False)
     out_dir = _out_dir(config)
     results, series = _run_point(config["scenario"], params, config.get("seed"), _cpus())
-    if series is not None:  # the summary goes last: it exists only for a complete run
-        path = _write_series(out_dir, *series, config["output"]["format"])
-        print(f"wrote {path}")
-    _write_summary(out_dir / "summary.json", config, results, time.monotonic() - started)
-    print(f"wrote {out_dir / 'summary.json'}")
+    if series is not None:
+        fmt = config["output"]["format"]
+        _write_text(out_dir / f"timeseries.{fmt}", _series_pieces(*series, fmt))
+    _write_summary(out_dir, config, results, started)
     return EXIT_OK
 
 
@@ -858,17 +814,10 @@ def cmd_sweep(args) -> int:
     # (no bare ``yields`` beside ``yields.total``)
     keys = set().union(*flat_rows)
     value_keys = sorted(k for k in keys if not any(o.startswith((k + ".", k + "[")) for o in keys))
-    csv_path = out_dir / "sweep.csv"
-    _write_table(csv_path, grid_keys + value_keys, (
-        [combo[k] for k in grid_keys] + [flat.get(k) for k in value_keys]
-        for (_scenario, combo, _params, _seed), flat in zip(tasks, flat_rows)
-    ))
-    _write_summary(
-        out_dir / "summary.json", config, {"n_points": len(tasks)},
-        time.monotonic() - started,
-    )
-    print(f"wrote {csv_path}")
-    print(f"wrote {out_dir / 'summary.json'}")
+    rows = ([_fmt(combo[k]) for k in grid_keys] + [_fmt(flat.get(k)) for k in value_keys]
+            for (_scenario, combo, _params, _seed), flat in zip(tasks, flat_rows))
+    _write_text(out_dir / "sweep.csv", _csv_text(itertools.chain([grid_keys + value_keys], rows)))
+    _write_summary(out_dir, config, {"n_points": len(tasks)}, started)
     return EXIT_OK
 
 

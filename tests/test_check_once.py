@@ -61,7 +61,7 @@ def test_one_three_state_point_measures_hermiticity_at_most_nine_times(defect_ca
 def fresh_memos(monkeypatch):
     """No Hamiltonian diagonalised and no initial state built before the test."""
     monkeypatch.setattr(bloch_redfield, "_BINS", OrderedDict())
-    cli._ts_state.cache_clear()
+    cli._initial_state.cache_clear()
 
 
 def test_three_state_points_measure_no_coupling_and_h_once_per_hamiltonian(defect_calls,
@@ -116,6 +116,7 @@ def checked_arrays(monkeypatch):
                          [(None, 11, 6), (1e-13, 12, 7)], ids=["no-tau_c", "tau_c"])
 def test_one_radical_pair_run_checks_each_array_once(checked_arrays, tmp_path, tau_c,
                                                      arrays, supermatrices):
+    cli._initial_state.cache_clear()  # so the run builds its initial state
     # 3 reaction superoperators and 3 generators (one each for the coherence
     # fit, the yields and the series), 3 Hamiltonians, 1 initial state and the
     # resolvent's integral; the validity check adds its own K only with a tau_c

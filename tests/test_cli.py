@@ -16,7 +16,7 @@ from _util import reference_series_csv, reference_series_json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinkinetics import NumericalError, cli, radical_pair, stochastic
+from spinkinetics import NumericalError, _blas, cli, radical_pair, stochastic
 from spinkinetics.cli import (
     EXIT_NUMERICAL,
     EXIT_PARSE,
@@ -416,9 +416,12 @@ class TestRejections:
          "summary inputs block must be an object"),
         ("sweep", three_state_sweep({"omega_s_rad_s.x": [1.0]}),
          "grid key 'omega_s_rad_s.x' does not address a parameter block"),
+        # the time grid is checked before anything of its size is allocated
+        ("run", with_params("three-state", time_grid={"t_max_s": 1e-8, "n_points": 10**15}),
+         f"config.parameters.time_grid.n_points must be at most {cli.TIME_GRID_MAX_POINTS}"),
     ], ids=["missing-key", "huge-integer", "decreasing-tabulated-grid", "grid-not-an-object",
             "four-grid-keys", "empty-grid-values", "root-not-an-object",
-            "summary-inputs-not-an-object", "dotted-key-through-a-value"])
+            "summary-inputs-not-an-object", "dotted-key-through-a-value", "huge-time-grid"])
     def test_exits_3_with_one_line_naming_the_key(self, tmp_path, capsys, command, config, named):
         cfg = write_config(tmp_path / "cfg.json", config)
         out = tmp_path / "out"
@@ -752,7 +755,7 @@ class TestSweep:
 
 #: the sweep pool pins each loaded OpenBLAS copy; without one there is nothing to pin
 needs_pool = pytest.mark.skipif(
-    not cli._blas_threads() or (os.cpu_count() or 1) < 2,
+    not _blas.threads() or (os.cpu_count() or 1) < 2,
     reason="needs OpenBLAS thread control and two CPUs",
 )
 
@@ -806,19 +809,19 @@ class TestSweepPool:
         self, tmp_path, monkeypatch
     ):
         def thread_counts(scenario, params, seed):  # a point that reports its worker's BLAS
-            return {"threads": list(cli._blas_threads().values())}, None
+            return {"threads": list(_blas.threads().values())}, None
 
         monkeypatch.setattr(cli, "_run_point", thread_counts)
         config = {"scenario": "radii", "parameters": RADII_PARAMS,
                   "grid": {"D_cm2_per_s": [1e-6, 2e-6, 5e-6, 1e-5]}}
         cfg = write_config(tmp_path / "cfg.json", config)
-        before = cli._blas_threads(2)  # more than one, so pinning shows
+        before = _blas.threads(2)  # more than one, so pinning shows
         try:
-            assert set(cli._blas_threads().values()) == {2}
+            assert set(_blas.threads().values()) == {2}
             assert main(["sweep", cfg, "--out-dir", str(tmp_path / "out"), "--workers", "2"]) == 0
-            after = cli._blas_threads()
+            after = _blas.threads()
         finally:
-            cli._blas_threads(before)
+            _blas.threads(before)
         assert set(after.values()) == {2}
         header, rows = read_csv(tmp_path / "out" / "sweep.csv")
         columns = [i for i, name in enumerate(header) if name.startswith("threads[")]
