@@ -22,6 +22,7 @@ from spinkinetics import (
     BasisLabel,
     BathSpec,
     CouplingOperator,
+    DimensionMismatchError,
     Lorentzian,
     OperatorMatrix,
     Tabulated,
@@ -87,12 +88,41 @@ class TestSpectralDensities:
         with pytest.raises(ValidationError):
             Tabulated([0.0, 1.0], [1.0, -1.0])
 
+    @pytest.mark.parametrize("spectrum", [
+        Lorentzian(amplitude=2.0, tau_c=0.5), WhiteNoise(0.7),
+        Tabulated([0.0, 1.0, 2.0], [3.0, 2.0, 1.0]),
+    ], ids=["lorentzian", "white", "tabulated"])
+    @pytest.mark.parametrize("omega", [0.0, -0.0, 1.5, -3.0, 7, 1e9])
+    def test_a_scalar_call_is_the_one_element_array_call(self, spectrum, omega):
+        got = spectrum.value(omega)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == spectrum.value(np.array([omega]))[0].tobytes()
+
+    @pytest.mark.parametrize("beta", [0.0, 2.0, math.inf])
+    @pytest.mark.parametrize("omega", [0.0, -0.0, 1.5, -3.0, 7])
+    def test_a_scalar_thermal_factor_is_the_one_element_array_call(self, beta, omega):
+        got = thermal_factor(beta, omega)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == thermal_factor(beta, np.array([omega]))[0].tobytes()
+
+    def test_tabulated_spectra_compare_by_their_samples(self):
+        grid, values = [0.0, 1.0, 2.0], [3.0, 2.0, 1.0]
+        from_lists = Tabulated(grid, values)
+        from_arrays = Tabulated(np.array(grid), np.array(values))
+        assert from_lists == from_arrays and hash(from_lists) == hash(from_arrays)
+        assert from_lists != Tabulated(grid, [3.0, 2.0, 1.5])
+        assert from_lists != Tabulated([0.0, 1.0, 2.5], values)
+
     def test_thermal_factor_limits(self):
         assert thermal_factor(0.0, 5.0) == 0.0
         assert thermal_factor(math.inf, 5.0) == 1.0
         assert thermal_factor(math.inf, -5.0) == -1.0
         assert thermal_factor(math.inf, 0.0) == 0.0
         assert thermal_factor(2.0, 3.0) == pytest.approx(math.tanh(3.0))
+
+
+#: three states, but not the three-state model's
+_OTHER_BASIS = BasisLabel(("p", "q", "r"))
 
 
 def _transverse_params(beta=1.0e-9):
@@ -152,6 +182,11 @@ class TestFrequencyDecompose:
         assert np.abs(total - lam.entries).max() < 1e-12
         assert sorted(c.omega for c in comps) == pytest.approx([-1.0, 0.0, 1.0], abs=1e-8)
 
+    def test_a_coupling_on_another_basis_rejected(self):
+        h, _ = build_bath(_transverse_params())
+        with pytest.raises(DimensionMismatchError):
+            frequency_decompose(h, OperatorMatrix(_OTHER_BASIS, np.eye(3)))
+
     def test_non_hermitian_hamiltonian_rejected(self):
         m = np.zeros((3, 3), dtype=complex)
         m[0, 1] = 1.0
@@ -176,6 +211,12 @@ class TestBathSpec:
         ]
         with pytest.raises(ValidationError):
             BathSpec(bath.couplings, grid, beta=0.0)
+
+    def test_couplings_on_two_bases_rejected(self):
+        couplings = [CouplingOperator(name, OperatorMatrix(basis, np.eye(3)), 0)
+                     for name, basis in (("a", THREE_STATE_BASIS), ("b", _OTHER_BASIS))]
+        with pytest.raises(DimensionMismatchError):
+            BathSpec(couplings, [[Lorentzian(1.0, 1.0)]], beta=0.0)
 
     def test_non_hermitian_coupling_rejected(self):
         m = np.zeros((3, 3), dtype=complex)
@@ -212,6 +253,11 @@ class TestAssembly:
         )
         h, bath = build_bath(p)
         assert relaxation_supermatrix(bath, h).norm() == 0.0
+
+    def test_a_hamiltonian_on_another_basis_rejected(self):
+        h, bath = build_bath(_transverse_params())
+        with pytest.raises(DimensionMismatchError):
+            relaxation_supermatrix(bath, OperatorMatrix(_OTHER_BASIS, h.entries))
 
     def test_beta_zero_kills_thermal_part(self):
         p = _transverse_params(beta=0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinkinetics import (
+    CorrelationSpectrum,
     NoiseKind,
     NoiseProcess,
     ValidationError,
@@ -147,6 +148,14 @@ class TestSpectrum:
         spec = correlation_spectrum(paths)
         assert spec.window == "rectangular"
         assert spec.window_t_max == pytest.approx(10 * TAU, rel=0.01)
+
+    @pytest.mark.parametrize("omega", [0.0, -0.0, 1.3 / TAU, -5.0 / TAU, 7])
+    def test_a_scalar_call_is_the_one_element_array_call(self, omega):
+        lags = np.linspace(0.0, 10 * TAU, 201)
+        spec = CorrelationSpectrum(ou(), lags, VAR * np.exp(-lags / TAU), "rectangular", 10 * TAU)
+        got = spec.spectrum(omega)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == spec.spectrum(np.array([omega]))[0].tobytes()
 
     def test_small_ensemble_rejected(self):
         paths = simulate_noise(ou(seed=8), 40 * TAU, n_paths=10)
