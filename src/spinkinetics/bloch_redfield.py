@@ -25,10 +25,11 @@ in frequency. Frequency (Lamb-type) shifts are dropped: only the real
 relaxation rates are produced.
 
 ``frequency_decompose`` diagonalises and bins H once per Hamiltonian, keyed
-by its entries so that sweep points at equal H share it, and returns one
-coupling in that eigenbasis: V, W and V^dag L V, read as a sequence of
-FrequencyComponents built only on access. The V^dag L V of each coupling is
-kept with its H, keyed by the coupling's entries, for as long as H is.
+by the bytes of its entries so that sweep points at equal H share it, and
+returns one coupling in that eigenbasis: V, W and V^dag L V, read as a
+sequence of FrequencyComponents built only on access. The V^dag L V of a
+coupling is kept likewise, keyed by the bytes of H's entries and the
+coupling's; each memo holds the BINS_KEPT keys used last.
 COMPONENT_DROP_RTOL drops the Bohr-frequency bins of a coupling whose
 Frobenius norm is at most that fraction of ||L||_F, from its components and
 from the assembly alike.
@@ -37,21 +38,24 @@ from the assembly alike.
 from __future__ import annotations
 
 import copy
+import functools
 import math
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
-from .liouville import OperatorMatrix, Superoperator, _sandwich
+from . import liouville
+from .errors import ValidationError
+from .liouville import OperatorMatrix, Superoperator, _check_same_basis, _sandwich
 
 #: relative tolerance used to merge nearly degenerate Bohr frequencies
 FREQUENCY_BIN_RTOL = 1e-9
 #: bins whose Frobenius norm is at most this fraction of the coupling's are dropped
 COMPONENT_DROP_RTOL = 1e-12
+#: largest Hermiticity defect of a system Hamiltonian, relative to its norm
+HAMILTONIAN_HERMITIAN_RTOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +81,7 @@ class Lorentzian:
 
     def value(self, omega):
         w = np.asarray(omega, dtype=float)
-        out = 2.0 * self.amplitude * self.tau_c / (1.0 + (w * self.tau_c) ** 2)
-        return float(out) if np.isscalar(omega) else out
+        return 2.0 * self.amplitude * self.tau_c / (1.0 + (w * self.tau_c) ** 2)
 
 
 @dataclass(frozen=True)
@@ -92,21 +95,24 @@ class WhiteNoise:
             raise ValidationError("white-noise level must be finite and nonnegative")
 
     def value(self, omega):
-        if np.isscalar(omega):
-            return float(self.level)
-        return np.full(np.shape(omega), float(self.level))
+        return np.full(np.shape(omega), float(self.level))[()]  # a scalar from 0-d
 
 
+@dataclass(frozen=True)
 class Tabulated:
     """Even spectrum interpolated linearly from samples on omega >= 0.
 
     Evaluation uses |omega|, which enforces J(w) = J(-w) by construction.
-    Outside the tabulated range the end values are held constant.
+    Outside the tabulated range the end values are held constant. The samples
+    are kept as tuples of floats, so spectra compare and hash by their values.
     """
 
-    def __init__(self, omega: Sequence[float], values: Sequence[float]):
-        w = np.asarray(omega, dtype=float)
-        j = np.asarray(values, dtype=float)
+    omega: Sequence[float]
+    values: Sequence[float]
+
+    def __post_init__(self):
+        w = np.asarray(self.omega, dtype=float)
+        j = np.asarray(self.values, dtype=float)
         if w.ndim != 1 or w.shape != j.shape or w.size < 2:
             raise ValidationError("tabulated spectrum needs matching 1-d grids")
         if w[0] < 0:
@@ -115,28 +121,14 @@ class Tabulated:
             raise ValidationError("tabulated grid must be strictly increasing")
         if np.any(j < 0) or not np.all(np.isfinite(j)):
             raise ValidationError("tabulated spectrum values must be finite and nonnegative")
-        self.omega = w.copy()
-        self.values_grid = j.copy()
-        self.omega.setflags(write=False)
-        self.values_grid.setflags(write=False)
+        object.__setattr__(self, "omega", tuple(w.tolist()))
+        object.__setattr__(self, "values", tuple(j.tolist()))
 
     def value(self, omega):
-        out = np.interp(np.abs(omega), self.omega, self.values_grid)
-        return float(out) if np.isscalar(omega) else out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tabulated)
-            and np.array_equal(self.omega, other.omega)
-            and np.array_equal(self.values_grid, other.values_grid)
-        )
-
-    def __hash__(self):
-        return hash((tuple(self.omega), tuple(self.values_grid)))
+        return np.interp(np.abs(omega), self.omega, self.values)
 
 
 SpectralDensity = Union[Lorentzian, WhiteNoise, Tabulated]
-_DENSITY_TYPES = (Lorentzian, WhiteNoise, Tabulated)
 
 ZERO_DENSITY = WhiteNoise(0.0)
 
@@ -146,8 +138,7 @@ def thermal_factor(beta: float, omega):
     if beta < 0:
         raise ValidationError("inverse temperature must be nonnegative")
     w = np.asarray(omega, dtype=float)
-    out = np.sign(w) if math.isinf(beta) else np.tanh(0.5 * beta * w)
-    return float(out) if np.isscalar(omega) else out
+    return np.sign(w) if math.isinf(beta) else np.tanh(0.5 * beta * w)
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +174,17 @@ class BathSpec:
         couplings = tuple(couplings)
         if not couplings:
             raise ValidationError("bath needs at least one coupling operator")
-        basis = couplings[0].matrix.basis
         for c in couplings:
             if not isinstance(c, CouplingOperator):
                 raise ValidationError("couplings must be CouplingOperator instances")
-            if c.matrix.basis != basis:
-                raise DimensionMismatchError("couplings live on different bases")
+            _check_same_basis(couplings[0].matrix, c.matrix, "bath couplings")
         grid = [tuple(row) for row in densities]
         m = len(grid)
         if any(len(row) != m for row in grid):
             raise ValidationError("density grid must be square")
         for row in grid:
             for d in row:
-                if not isinstance(d, _DENSITY_TYPES):
+                if not isinstance(d, SpectralDensity):
                     raise ValidationError("density grid entries must be spectral densities")
         for i in range(m):
             for j in range(i):
@@ -212,7 +201,7 @@ class BathSpec:
         self.couplings = couplings
         self.densities = tuple(grid)
         self.beta = float(beta)
-        self.basis = basis
+        self.basis = couplings[0].matrix.basis
 
     @classmethod
     def uncorrelated(cls, couplings, densities, beta: float) -> "BathSpec":
@@ -269,30 +258,24 @@ def _cluster_frequencies(freqs: np.ndarray, threshold: float):
     return 0.5 * (reps - reps[::-1]), labels
 
 
-#: ((V, Omega-bar, bin labels, bin frequencies), couplings) of the BINS_KEPT
-#: Hamiltonians used last, by the bytes of their entries. ``couplings`` maps
-#: the bytes of a coupling's entries to its V^dag L V and kept bins, for the
-#: BINS_KEPT couplings decomposed first; every array is read-only
-_BINS: "OrderedDict[bytes, tuple]" = OrderedDict()
+#: Hamiltonians, and (Hamiltonian, coupling) pairs, whose decomposition is kept
 BINS_KEPT = 64
 
 
-def _bohr_bins(h: OperatorMatrix) -> tuple:
-    """Check, diagonalise and bin H once per Hamiltonian: equal entries share it.
+@functools.lru_cache(maxsize=BINS_KEPT)
+def _bohr_bins(h_entries: bytes) -> tuple:
+    """Check, diagonalise and bin H, given by the bytes of its entries, once per
+    Hamiltonian: equal entries share it.
 
     Returns the eigenvectors V of H (columns), the binned Bohr frequency
     Omega-bar[j, j'] of nu_j - nu_j', the bin label of each element and the
-    frequency of each bin, in ascending order; and the dict of H's decomposed
-    couplings.
+    frequency of each bin, in ascending order; every array is read-only.
     """
-    key = h.entries.tobytes()
-    entry = _BINS.get(key)
-    if entry is not None:
-        _BINS.move_to_end(key)
-        return entry
-    if not h.is_hermitian(1e-10):
+    h = np.frombuffer(h_entries, dtype=complex)
+    h = h.reshape(2 * (math.isqrt(h.size),))
+    if liouville.hermitian_defect(h) > HAMILTONIAN_HERMITIAN_RTOL:
         raise ValidationError("system Hamiltonian must be Hermitian")
-    evals, vecs = np.linalg.eigh(0.5 * (h.entries + h.entries.conj().T))
+    evals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
     freq_matrix = evals[:, None] - evals[None, :]
     scale = float(np.abs(evals).max())
     threshold = FREQUENCY_BIN_RTOL * (scale if scale > 0 else 1.0)
@@ -301,10 +284,24 @@ def _bohr_bins(h: OperatorMatrix) -> tuple:
     bins = (vecs, reps[labels], labels, reps)
     for a in bins:
         a.setflags(write=False)
-    entry = _BINS[key] = (bins, {})
-    if len(_BINS) > BINS_KEPT:
-        _BINS.popitem(last=False)
-    return entry
+    return bins
+
+
+@functools.lru_cache(maxsize=BINS_KEPT)
+def _eigenbasis_coupling(h_entries: bytes, lam_entries: bytes) -> tuple:
+    """H's bins, a coupling L in the eigenbasis of H (V^dag L V less its dropped
+    bins) and the labels of its kept bins; every array is read-only."""
+    bins = vecs, _, labels, reps = _bohr_bins(h_entries)
+    lam = np.frombuffer(lam_entries, dtype=complex).reshape(vecs.shape)
+    lam_eig = vecs.conj().T @ lam @ vecs
+    norms = np.sqrt(np.bincount(labels.reshape(-1), np.abs(lam_eig.reshape(-1)) ** 2,
+                                minlength=reps.size))
+    kept = norms > COMPONENT_DROP_RTOL * np.linalg.norm(lam)
+    lam_eig[~kept[labels]] = 0.0
+    kept = np.flatnonzero(kept)
+    for a in (lam_eig, kept):
+        a.setflags(write=False)
+    return bins, lam_eig, kept
 
 
 class Eigenoperators(Sequence):
@@ -348,24 +345,9 @@ def frequency_decompose(
     reads the same on the component V B V^dag as on its eigenbasis block B.
     """
     lam = coupling.matrix if isinstance(coupling, CouplingOperator) else coupling
-    if h.basis != lam.basis:
-        raise DimensionMismatchError("Hamiltonian and coupling live on different bases")
-    bins, couplings = _bohr_bins(h)
-    key = lam.entries.tobytes()
-    part = couplings.get(key)
-    if part is None:
-        vecs, _, labels, reps = bins
-        lam_eig = vecs.conj().T @ lam.entries @ vecs
-        norms = np.sqrt(np.bincount(labels.reshape(-1), np.abs(lam_eig.reshape(-1)) ** 2,
-                                    minlength=reps.size))
-        kept = norms > COMPONENT_DROP_RTOL * np.linalg.norm(lam.entries)
-        lam_eig[~kept[labels]] = 0.0
-        part = (lam_eig, np.flatnonzero(kept))
-        for a in part:
-            a.setflags(write=False)
-        if len(couplings) < BINS_KEPT:
-            couplings[key] = part
-    return Eigenoperators(h.basis, bins, *part)
+    _check_same_basis(h, lam, "frequency_decompose")
+    return Eigenoperators(h.basis, *_eigenbasis_coupling(h.entries.tobytes(),
+                                                         lam.entries.tobytes()))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +356,7 @@ def frequency_decompose(
 
 def _filtered_operators(bath: BathSpec, h: OperatorMatrix):
     """(L, Lambda, Theta) as (m, N, N) stacks over the m couplings (see the module docstring)."""
-    if bath.basis != h.basis:
-        raise DimensionMismatchError("bath and Hamiltonian live on different bases")
+    _check_same_basis(bath, h, "relaxation assembly")
     parts = [frequency_decompose(h, c) for c in bath.couplings]
     vecs, omega = parts[0].vecs, parts[0].omega
     filtered = np.zeros((len(parts), h.dim, h.dim), dtype=complex)

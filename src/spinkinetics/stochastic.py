@@ -215,10 +215,9 @@ class CorrelationSpectrum:
     window_t_max: float
 
     def spectrum(self, omega):
-        w = np.atleast_1d(np.asarray(omega, dtype=float))
-        integrand = self.correlation[None, :] * np.cos(np.outer(w, self.lags))
-        j = 2.0 * np.trapezoid(integrand, self.lags, axis=1)
-        return float(j[0]) if np.isscalar(omega) else j
+        w = np.asarray(omega, dtype=float)
+        integrand = self.correlation * np.cos(np.multiply.outer(w, self.lags))
+        return 2.0 * np.trapezoid(integrand, self.lags, axis=-1)
 
     def to_tabulated(self, omega_grid) -> Tabulated:
         """Clip estimator noise below zero and wrap as an even tabulated spectrum."""

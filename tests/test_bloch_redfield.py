@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 
@@ -600,7 +599,8 @@ class TestEigenbasisAssembly:
 
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
-        monkeypatch.setattr(bloch_redfield, "_BINS", OrderedDict())  # no H seen before
+        bloch_redfield._bohr_bins.cache_clear()  # no H seen before
+        bloch_redfield._eigenbasis_coupling.cache_clear()
         calls = []
         eigh = np.linalg.eigh
 
@@ -638,7 +638,7 @@ class TestEigenbasisAssembly:
         first = assemble(1e9)
         for k in range(bloch_redfield.BINS_KEPT):
             assemble(2e9 + k)
-        assert len(bloch_redfield._BINS) == bloch_redfield.BINS_KEPT
+        assert bloch_redfield._bohr_bins.cache_info().currsize == bloch_redfield.BINS_KEPT
         assert len(eigh_calls) == bloch_redfield.BINS_KEPT + 1
         assert np.array_equal(assemble(1e9), first)
         assert len(eigh_calls) == bloch_redfield.BINS_KEPT + 2

@@ -13,7 +13,6 @@ A propagation on a linspace grid computes one matrix exponential.
 """
 
 import json
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -58,9 +57,10 @@ def test_one_three_state_point_measures_hermiticity_at_most_nine_times(defect_ca
 
 
 @pytest.fixture
-def fresh_memos(monkeypatch):
+def fresh_memos():
     """No Hamiltonian diagonalised and no initial state built before the test."""
-    monkeypatch.setattr(bloch_redfield, "_BINS", OrderedDict())
+    bloch_redfield._bohr_bins.cache_clear()
+    bloch_redfield._eigenbasis_coupling.cache_clear()
     cli._initial_state.cache_clear()
 
 
