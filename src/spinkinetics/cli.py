@@ -35,12 +35,7 @@ import numpy as np
 from . import bloch_redfield as br
 from . import diffusion, radical_pair, stochastic, three_state
 from ._blas import one_thread
-from .errors import (
-    NumericalError,
-    RegimeError,
-    SpinKineticsError,
-    ValidationError,
-)
+from .errors import NumericalError, SpinKineticsError, ValidationError
 from .liouville import DensityMatrix, assemble_generator, propagate
 
 EXIT_OK = 0
@@ -52,6 +47,10 @@ SWEEP_MAX_POINTS = 1_000_000
 SWEEP_MAX_PARAMS = 3
 #: points of a time grid: a propagated pair-state series holds about 1 kB per point
 TIME_GRID_MAX_POINTS = 100_000
+#: float64 cells of an oracle run's largest array, its noise paths (512 MiB,
+#: about 28 times the default run's), and its most trajectories, whose batch
+#: labels take one cell each
+ORACLE_MAX_CELLS = 2**26
 #: rows of a time series formatted by one string operation
 SERIES_BLOCK_ROWS = 256
 
@@ -503,13 +502,15 @@ _ORACLE = {
     "omega_s_rad_s": (REQUIRED, _REAL),
     "omega0_rad_s": (0.0, _REAL),
     "t_total_s": (OPTIONAL, _POSITIVE),
-    "n_traj": (10000, _integer(100)),
+    "n_traj": (10000, _integer(100, ORACLE_MAX_CELLS)),
     "n_spectrum_paths": (2000, _integer(stochastic.MIN_SPECTRUM_PATHS)),
 }
 
 
 def _oracle_setup(params: dict, seed: int):
-    """The noise process and the closed loop's duration, each checking the keys it spans."""
+    """The noise process and the closed loop's duration, each checking the keys it
+    spans, once the run's largest array is known to fit ORACLE_MAX_CELLS: the
+    spectrum's paths, or one chunk of trajectories, over at least 60 tau_c."""
     process = stochastic.NoiseProcess(
         kind=stochastic.NoiseKind(params["kind"]),
         variance=params["variance_rad2_s2"],
@@ -517,7 +518,14 @@ def _oracle_setup(params: dict, seed: int):
         seed=seed,
         dt=params.get("dt_s"),
     )
-    return process, stochastic.closed_loop_duration(process, params.get("t_total_s"))
+    duration = stochastic.closed_loop_duration(process, params.get("t_total_s"))
+    paths = max(params["n_spectrum_paths"], min(params["n_traj"], stochastic.CHUNK))
+    steps = np.ceil(max(duration, 60.0 * process.tau_c) / process.dt) + 1  # inf past 1e308
+    if paths * steps > ORACLE_MAX_CELLS:
+        raise ConfigError(f"config.parameters: {paths} noise paths (n_spectrum_paths, or n_traj "
+                          f"up to {stochastic.CHUNK}) of {steps:.12g} steps (dt_s) exceed "
+                          f"{ORACLE_MAX_CELLS} float64 cells")
+    return process, duration
 
 
 def _run_oracle(params: dict, seed, workers):
@@ -851,14 +859,11 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         _error_line("parse", exc)
         return EXIT_PARSE
-    except (ConfigError, ValidationError, RegimeError) as exc:
-        _error_line("validation", exc)
-        return EXIT_VALIDATION
     except NumericalError as exc:
         _error_line("numerical", exc)
         return EXIT_NUMERICAL
-    except SpinKineticsError as exc:  # pragma: no cover - safety net
-        _error_line("error", exc)
+    except SpinKineticsError as exc:
+        _error_line("validation", exc)
         return EXIT_VALIDATION
 
 

@@ -419,9 +419,14 @@ class TestRejections:
         # the time grid is checked before anything of its size is allocated
         ("run", with_params("three-state", time_grid={"t_max_s": 1e-8, "n_points": 10**15}),
          f"config.parameters.time_grid.n_points must be at most {cli.TIME_GRID_MAX_POINTS}"),
+        # and the oracle's noise paths before they are drawn
+        ("run", with_params("oracle", dt_s=1e-30),
+         "config.parameters: 2000 noise paths (n_spectrum_paths, or n_traj up to 2048) of "
+         "6e+18 steps (dt_s) exceed 67108864 float64 cells"),
     ], ids=["missing-key", "huge-integer", "decreasing-tabulated-grid", "grid-not-an-object",
             "four-grid-keys", "empty-grid-values", "root-not-an-object",
-            "summary-inputs-not-an-object", "dotted-key-through-a-value", "huge-time-grid"])
+            "summary-inputs-not-an-object", "dotted-key-through-a-value", "huge-time-grid",
+            "tiny-oracle-step"])
     def test_exits_3_with_one_line_naming_the_key(self, tmp_path, capsys, command, config, named):
         cfg = write_config(tmp_path / "cfg.json", config)
         out = tmp_path / "out"
@@ -430,6 +435,47 @@ class TestRejections:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "validation", "message": named}
         assert not out.exists()
+
+
+#: an oracle step at which 60 tau_c is exactly 2**15 steps, so that a chunk of
+#: 2048 trajectories over 2**15 + 1 points is the first to exceed 2**26 cells
+FINE_STEP = 6e-12 / 2**15
+
+
+class TestOracleSizes:
+    """An oracle's sizes are checked before any array is drawn: a run or a sweep
+    past ORACLE_MAX_CELLS exits 3 with one line and makes no output directory."""
+
+    @pytest.mark.parametrize("command, config, named", [
+        ("run", with_params("oracle", n_traj=cli.ORACLE_MAX_CELLS + 1),
+         "config.parameters.n_traj must be at most 67108864"),
+        ("run", with_params("oracle", n_spectrum_paths=55878),
+         "config.parameters: 55878 noise paths (n_spectrum_paths, or n_traj up to 2048) of "
+         "1201 steps (dt_s) exceed 67108864 float64 cells"),
+        ("run", with_params("oracle", dt_s=FINE_STEP, n_spectrum_paths=1000, n_traj=2048),
+         "config.parameters: 2048 noise paths (n_spectrum_paths, or n_traj up to 2048) of "
+         "32769 steps (dt_s) exceed 67108864 float64 cells"),
+        ("sweep", dict(with_params("oracle", n_spectrum_paths=1000, n_traj=2048),
+                       grid={"dt_s": [5e-15, FINE_STEP]}),
+         "grid point {'dt_s': 1.8310546875e-16}: config.parameters: 2048 noise paths (n_spectrum_paths, or n_traj up to 2048) of "
+         "32769 steps (dt_s) exceed 67108864 float64 cells"),
+    ], ids=["trajectories", "spectrum-paths", "steps-of-a-chunk", "sweep-point"])
+    def test_a_size_just_past_its_bound_exits_3(self, tmp_path, capsys, command, config,
+                                                 named):
+        cfg = write_config(tmp_path / "cfg.json", config)
+        out = tmp_path / "out"
+        assert main([command, cfg, "--out-dir", str(out)]) == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "validation", "message": named}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params", [
+        {"n_traj": cli.ORACLE_MAX_CELLS}, {"n_spectrum_paths": 55877},
+        {"dt_s": FINE_STEP, "n_spectrum_paths": 1000, "n_traj": 2047},
+    ], ids=["trajectories", "spectrum-paths", "steps-of-a-chunk"])
+    def test_a_size_at_its_bound_passes_the_checks(self, params):
+        _checked_config(with_params("oracle", **params), sweep=False)  # draws nothing
 
 
 class TestRoundTrip:
