@@ -7,7 +7,6 @@ all). Tolerances are fixed here, not tuned at runtime.
 import math
 
 import numpy as np
-import pytest
 from _util import random_density, random_state
 from scipy.integrate import simpson
 

@@ -1,6 +1,7 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses.
 
-``__init__`` is left out: its imports are the package's public names.
+The package's ``__init__`` is left out: its imports are the package's public
+names.
 """
 
 import ast
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spinkinetics"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "spinkinetics"
 
 
 def unused_imports(source: str) -> list:
@@ -34,6 +36,12 @@ def unused_imports(source: str) -> list:
                                           if p.name != "__init__.py"))
 def test_a_module_reads_every_name_it_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.relative_to(TESTS).as_posix()
+                                          for p in TESTS.rglob("*.py")))
+def test_a_test_module_reads_every_name_it_imports(module):
+    assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("source, unused", [

@@ -11,7 +11,6 @@ from spinkinetics import (
     ReactionModel,
     ValidationError,
     coherence_decay_rate,
-    infinite_time_integral,
     projectors,
     pure_state_propagate,
     rate_elements,
