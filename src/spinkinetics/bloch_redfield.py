@@ -42,7 +42,6 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -128,7 +127,7 @@ class Tabulated:
         return np.interp(np.abs(omega), self.omega, self.values)
 
 
-SpectralDensity = Union[Lorentzian, WhiteNoise, Tabulated]
+SpectralDensity = Lorentzian | WhiteNoise | Tabulated
 
 ZERO_DENSITY = WhiteNoise(0.0)
 
@@ -332,7 +331,7 @@ class Eigenoperators(Sequence):
 
 def frequency_decompose(
     h: OperatorMatrix,
-    coupling: Union[CouplingOperator, OperatorMatrix],
+    coupling: CouplingOperator | OperatorMatrix,
 ) -> Eigenoperators:
     """Split a coupling operator into eigenoperator components of H.
 
