@@ -355,7 +355,6 @@ def frequency_decompose(
 
 def _filtered_operators(bath: BathSpec, h: OperatorMatrix):
     """(L, Lambda, Theta) as (m, N, N) stacks over the m couplings (see the module docstring)."""
-    _check_same_basis(bath, h, "relaxation assembly")
     parts = [frequency_decompose(h, c) for c in bath.couplings]
     vecs, omega = parts[0].vecs, parts[0].omega
     filtered = np.zeros((len(parts), h.dim, h.dim), dtype=complex)

@@ -520,7 +520,7 @@ def _oracle_setup(params: dict, seed: int):
     )
     duration = stochastic.closed_loop_duration(process, params.get("t_total_s"))
     paths = max(params["n_spectrum_paths"], min(params["n_traj"], stochastic.CHUNK))
-    steps = np.ceil(max(duration, 60.0 * process.tau_c) / process.dt) + 1  # inf past 1e308
+    steps = np.ceil(max(duration, 60.0 * process.tau_c) / process.dt) + 1  # a float: may be inf
     if paths * steps > ORACLE_MAX_CELLS:
         raise ConfigError(f"config.parameters: {paths} noise paths (n_spectrum_paths, or n_traj "
                           f"up to {stochastic.CHUNK}) of {steps:.12g} steps (dt_s) exceed "

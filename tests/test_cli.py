@@ -459,7 +459,11 @@ class TestOracleSizes:
                        grid={"dt_s": [5e-15, FINE_STEP]}),
          "grid point {'dt_s': 1.8310546875e-16}: config.parameters: 2048 noise paths (n_spectrum_paths, or n_traj up to 2048) of "
          "32769 steps (dt_s) exceed 67108864 float64 cells"),
-    ], ids=["trajectories", "spectrum-paths", "steps-of-a-chunk", "sweep-point"])
+        ("run", with_params("oracle", dt_s=5e-324),  # the step count overflows a float
+         "config.parameters: 2000 noise paths (n_spectrum_paths, or n_traj up to 2048) of "
+         "inf steps (dt_s) exceed 67108864 float64 cells"),
+    ], ids=["trajectories", "spectrum-paths", "steps-of-a-chunk", "sweep-point",
+            "subnormal-step"])
     def test_a_size_just_past_its_bound_exits_3(self, tmp_path, capsys, command, config,
                                                  named):
         cfg = write_config(tmp_path / "cfg.json", config)
