@@ -26,6 +26,13 @@ these three raise NumericalError for it. One exception: a generator that is
 triangular in the vec basis (three-state at beta = inf, where H is diagonal)
 keeps that basis, because ``expm`` is exact on the diagonal of a triangular
 matrix and rotating coherences into real 2 x 2 blocks would lose that.
+
+Every propagated state is checked for trace and positivity. Positivity is a
+Cholesky factorisation of rho - DENSITY_EIG_FLOOR * I, taken a bounded slice
+of the stack at a time; eigenvalues are computed only to name a state that
+fails. A stack built from real coordinates is Hermitian by construction, so
+it is written with the bits that Hermitising it would give and not
+Hermitised again; every other stack is.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ DENSITY_HERMITIAN_TOL = 1e-10
 DENSITY_TRACE_FLOOR = -1e-9
 DENSITY_TRACE_CEILING = 1.0 + 1e-9
 DENSITY_EIG_FLOOR = -1e-9
+#: bytes of shifted states that the positivity check factorises at a time
+STATE_SLICE_BYTES = 2**19
 #: eigenvalues of a decaying generator must sit below -DECAY_MARGIN * ||L||
 DECAY_MARGIN = 1e-12
 #: propagation steps whose lengths agree within this relative tolerance share
@@ -379,28 +388,94 @@ def _spectral_norm(g: np.ndarray, n: int, real: bool) -> float:
 # propagation and infinite-time integrals
 # ---------------------------------------------------------------------------
 
-def _density_stack(stack: np.ndarray, times=None) -> np.ndarray:
-    """Hermitised, read-only copy of a (n, N, N) stack of density matrices.
-
-    Every propagation path and every DensityMatrix goes through this check.
-    Non-finite entries raise NumericalError; a trace or smallest eigenvalue
-    outside the DENSITY_* bounds raises ValidationError for the first such
-    slice, naming its time (when ``times`` is given), trace and lambda_min.
-    """
-    if not np.all(np.isfinite(stack)):
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a``, or NumericalError if an entry is not finite."""
+    if not np.all(np.isfinite(a)):
         raise NumericalError("propagation produced non-finite entries")
-    stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    return a
+
+
+def _hermitised(stack: np.ndarray) -> np.ndarray:
+    return 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+
+
+def _density_stack(stack: np.ndarray, times=None) -> np.ndarray:
+    """Hermitised, read-only copy of a (n, N, N) stack of density matrices,
+    checked by :func:`_checked_states`.
+
+    Every DensityMatrix and every propagation path but the real-coordinate one
+    of ``propagate`` goes through it. Non-finite entries raise NumericalError.
+    """
+    return _checked_states(_hermitised(_finite(stack)), times)
+
+
+def _coordinate_states(x: np.ndarray, n: int) -> np.ndarray:
+    """(n_times, N, N) states with real coordinates ``x``: the Hermitisation of
+    :func:`_vec_of_coordinates`, bit for bit, written entry by entry instead
+    of through a transposed copy of the whole stack.
+
+    _vec_of_coordinates writes each (j, k)/(k, j) pair from one coordinate, so
+    its stack is Hermitian by construction and halving the doubled entries
+    gives them back exactly: x[jk] + i x[kj] above the diagonal and
+    x[jk] - i x[kj] below it. Only the signs of zeros differ. ``0.5 * z`` is
+    a complex product, which adds 0 * (the other part) to each part, so those
+    terms are added here as well. (Coordinates of 2**1023 and more would
+    overflow when doubled; no state has them.)
+    """
+    upper, lower, _ = _pairs(n)
+    re, im = x[..., upper], x[..., lower]
+    zero_re, zero_im = 0.0 * re, 0.0 * im
+    v = x.astype(complex)
+    v.real[..., upper] = re - zero_im
+    v.real[..., lower] = re + zero_im
+    v.imag[..., upper] = im + zero_re
+    v.imag[..., lower] = zero_re - im
+    return v.reshape(-1, n, n)
+
+
+def _checked_states(stack: np.ndarray, times=None) -> np.ndarray:
+    """``stack``, an exactly Hermitian (n, N, N) stack, marked read-only once
+    every slice is a state.
+
+    A trace or smallest eigenvalue outside the DENSITY_* bounds raises
+    ValidationError for the first such slice, naming its time (when ``times``
+    is given), trace and lambda_min. Positivity is tested by a Cholesky
+    factorisation of rho - DENSITY_EIG_FLOOR * I, which succeeds exactly when
+    the state is numerically above the floor (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., ch. 10). Eigenvalues only name a
+    failure: when a factorisation or a trace bound fails, ``eigvalsh`` of the
+    whole stack finds the first bad slice, and a stack in which it finds none
+    (a factorisation that failed within rounding of the floor) passes.
+    """
     traces = np.trace(stack, axis1=1, axis2=2).real
-    lambda_min = np.linalg.eigvalsh(stack)[:, 0]
-    bad = np.flatnonzero((traces < DENSITY_TRACE_FLOOR) | (traces > DENSITY_TRACE_CEILING)
-                         | (lambda_min < DENSITY_EIG_FLOOR))
-    if bad.size:
-        k = bad[0]
-        at = "" if times is None else f" at t = {times[k]:.12g} s"
-        raise ValidationError(f"density matrix{at} is not a state: trace {traces[k]:.12g}, "
-                              f"lambda_min {lambda_min[k]:.6g} (floor {DENSITY_EIG_FLOOR:g})")
+    if (((traces < DENSITY_TRACE_FLOOR) | (traces > DENSITY_TRACE_CEILING)).any()
+            or not _above_floor(stack)):
+        lambda_min = np.linalg.eigvalsh(stack)[:, 0]
+        bad = np.flatnonzero((traces < DENSITY_TRACE_FLOOR) | (traces > DENSITY_TRACE_CEILING)
+                             | (lambda_min < DENSITY_EIG_FLOOR))
+        if bad.size:
+            k = bad[0]
+            at = "" if times is None else f" at t = {times[k]:.12g} s"
+            raise ValidationError(f"density matrix{at} is not a state: trace {traces[k]:.12g}, "
+                                  f"lambda_min {lambda_min[k]:.6g} (floor {DENSITY_EIG_FLOOR:g})")
     stack.setflags(write=False)
     return stack
+
+
+def _above_floor(stack: np.ndarray) -> bool:
+    """Whether every slice minus DENSITY_EIG_FLOOR * I has a Cholesky factor,
+    factorising STATE_SLICE_BYTES of shifted slices at a time."""
+    n_slices, n, _ = stack.shape
+    step = max(1, STATE_SLICE_BYTES // (n * n * stack.itemsize))
+    shifted = np.empty((min(step, n_slices), n, n), dtype=stack.dtype)
+    shift = DENSITY_EIG_FLOOR * np.eye(n)
+    try:
+        for start in range(0, n_slices, step):
+            part = shifted[: min(step, n_slices - start)]
+            np.linalg.cholesky(np.subtract(stack[start : start + step], shift, out=part))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -478,9 +553,9 @@ def propagate(l: Superoperator, rho0: DensityMatrix, times: Iterable[float]) -> 
     v0 = vectorize(rho0.entries)
     with one_thread(n * n):
         vectors = _expm_steps(g, _real_coordinates(v0, n) if real else v0, t)
-    if real:
-        vectors = _vec_of_coordinates(vectors, n)
-    return Propagation(l.basis, t, _density_stack(vectors.reshape(t.size, n, n), t))
+    if not real:
+        return Propagation(l.basis, t, _density_stack(vectors.reshape(t.size, n, n), t))
+    return Propagation(l.basis, t, _checked_states(_coordinate_states(_finite(vectors), n), t))
 
 
 def infinite_time_integral(l: Superoperator, rho0: DensityMatrix) -> OperatorMatrix:

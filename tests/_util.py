@@ -10,7 +10,7 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.linalg import expm as reference_expm
 from scipy.signal import lfilter
 
-from spinkinetics import NumericalError, bloch_redfield, liouville, stochastic
+from spinkinetics import NumericalError, ValidationError, bloch_redfield, liouville, stochastic
 from spinkinetics._blas import one_thread
 
 
@@ -101,6 +101,28 @@ def reference_rk_propagate(l, rho0, times):
         raise NumericalError(f"Runge-Kutta integration failed: {sol.message}")
     states = liouville._density_stack(sol.y.T.reshape(t.size, n, n), t)
     return liouville.Propagation(l.basis, t, states)
+
+
+def reference_eigvalsh_density_stack(stack, times=None):
+    """liouville._density_stack as it checked positivity before: ``eigvalsh``
+    of every Hermitised slice. The bytes and errors the Cholesky check must
+    keep."""
+    if not np.all(np.isfinite(stack)):
+        raise NumericalError("propagation produced non-finite entries")
+    stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    traces = np.trace(stack, axis1=1, axis2=2).real
+    lambda_min = np.linalg.eigvalsh(stack)[:, 0]
+    bad = np.flatnonzero((traces < liouville.DENSITY_TRACE_FLOOR)
+                         | (traces > liouville.DENSITY_TRACE_CEILING)
+                         | (lambda_min < liouville.DENSITY_EIG_FLOOR))
+    if bad.size:
+        k = bad[0]
+        at = "" if times is None else f" at t = {times[k]:.12g} s"
+        raise ValidationError(f"density matrix{at} is not a state: trace {traces[k]:.12g}, "
+                              f"lambda_min {lambda_min[k]:.6g} "
+                              f"(floor {liouville.DENSITY_EIG_FLOOR:g})")
+    stack.setflags(write=False)
+    return stack
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,14 +7,17 @@ from _util import (
     hermiticity_defect_sample,
     random_density,
     random_hermitian,
+    reference_eigvalsh_density_stack,
     reference_expm_steps,
     reference_matmul_expm_steps,
     reference_rk_propagate,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 from test_bloch_redfield import baths
+from test_stochastic import traced_peak
 
 from spinkinetics import (
     BasisLabel,
@@ -34,18 +38,27 @@ from spinkinetics import (
     relaxation_supermatrix,
     validity_check,
 )
+from spinkinetics import liouville
 from spinkinetics._blas import one_thread
 from spinkinetics.liouville import (
+    DENSITY_EIG_FLOOR,
+    DENSITY_TRACE_CEILING,
+    STATE_SLICE_BYTES,
     STEP_RTOL,
     _anticommutator,
+    _checked_states,
     _commutator,
+    _coordinate_states,
     _density_stack,
     _expm_steps,
     _hermitian_form,
+    _hermitised,
+    _pairs,
     _projector_dephasing,
     _real_coordinates,
     _sandwich,
     _vec_of_coordinates,
+    _working_form,
     vectorize,
 )
 from spinkinetics.three_state import THREE_STATE_BASIS, ThreeStateParams, build_bath
@@ -414,6 +427,92 @@ class TestBatchedStateCheck:
             propagate(gen, DensityMatrix.basis_state(B3, "0"), [1.0, 2.0])
 
 
+def _random_states(n, size, rng):
+    """(size, n, n) density matrices of random rank 1..n (rank 1: pure, lambda_min
+    0) and random trace in [0, 1], each as a @ a^dag, so Hermitian only to
+    rounding."""
+    rank = rng.integers(1, n + 1, size)
+    a = rng.normal(size=(size, n, n)) + 1j * rng.normal(size=(size, n, n))
+    a *= np.arange(n) < rank[:, None, None]
+    rho = a @ a.conj().swapaxes(1, 2)
+    return rho * (rng.random(size) / np.trace(rho, axis1=1, axis2=2).real)[:, None, None]
+
+
+def _with_lambda_min(rho, value):
+    """rho with its smallest eigenvalue set to ``value``."""
+    w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    w[0] = value
+    return (v * w) @ v.conj().T
+
+
+def _outcome(call):
+    """The bytes of the states ``call()`` returns, or the class and message it raises."""
+    try:
+        return call().tobytes()
+    except (ValidationError, NumericalError) as error:
+        return type(error), str(error)
+
+
+def coordinate_stacks(elements):
+    """(N, x) with x a (1..20, N^2) array of real coordinates drawn from ``elements``."""
+    return st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), arrays(
+        float, st.tuples(st.integers(1, 20), st.just(n * n)), elements=elements)))
+
+
+class TestCholeskyStateCheck:
+    """The factorisation check returns the bytes and raises the errors of the
+    eigvalsh check it replaced, however the stack is cut into slices."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 6), size=st.integers(1, 700), seed=st.integers(0, 2**32 - 1),
+           slice_bytes=st.sampled_from([1, 1000, STATE_SLICE_BYTES]),
+           defect=st.sampled_from([None, "below floor", "above floor", "trace above",
+                                   "trace below"]),
+           timed=st.booleans())
+    def test_matches_the_eigvalsh_check(self, n, size, seed, slice_bytes, defect, timed):
+        rng = np.random.default_rng(seed)
+        stack = _random_states(n, size, rng)
+        k = int(rng.integers(size))
+        if defect in ("below floor", "above floor"):
+            sign = -1.0 if defect == "below floor" else 1.0
+            stack[k] = _with_lambda_min(stack[k], DENSITY_EIG_FLOOR + sign * 1e-12)
+        elif defect is not None:
+            target = DENSITY_TRACE_CEILING + 1e-6 if defect == "trace above" else -1e-6
+            stack[k] += (target - np.trace(stack[k]).real) / n * np.eye(n)
+        times = np.sort(rng.random(size)) if timed else None
+        want = _outcome(lambda: reference_eigvalsh_density_stack(stack.copy(), times))
+        assert isinstance(want, bytes) == (defect in (None, "above floor"))
+        with mock.patch.object(liouville, "STATE_SLICE_BYTES", slice_bytes):
+            assert _outcome(lambda: _density_stack(stack.copy(), times)) == want
+            assert _outcome(lambda: _checked_states(_hermitised(stack), times)) == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(coordinate_stacks(st.floats(-1e300, 1e300)))
+    def test_coordinate_states_are_the_hermitised_stack_bit_for_bit(self, case):
+        n, x = case
+        want = _hermitised(_vec_of_coordinates(x, n).reshape(-1, n, n))
+        assert _coordinate_states(x, n).tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(coordinate_stacks(st.floats(-1e300, 1e300).filter(bool)))
+    def test_without_zero_coordinates_the_stack_is_its_own_hermitisation(self, case):
+        n, x = case
+        stack = _vec_of_coordinates(x, n).reshape(-1, n, n)
+        assert stack.tobytes() == _hermitised(stack).tobytes()
+
+    def test_holds_one_shifted_slice_beside_the_stack(self):
+        n, size = 4, 20001
+        rho = _random_states(n, size, np.random.default_rng(61)).reshape(size, n * n)
+        upper, lower, _ = _pairs(n)
+        x = rho.real.copy()
+        x[:, lower] = rho.imag[:, upper]
+        stack = _coordinate_states(x, n)
+        _checked_states(stack[:2].copy())  # first-call imports, untraced
+        peak = traced_peak(lambda: _checked_states(stack, np.arange(size, dtype=float)))
+        scratch = 2 * STATE_SLICE_BYTES  # the shifted slice and its factor
+        assert peak <= scratch + 2**20, f"peak {peak / 2**20:.2f} MiB beside a stack of {stack.nbytes / 2**20:.2f} MiB"
+
+
 class TestInfiniteTimeIntegral:
     def test_uniform_decay_gives_rho_over_kappa(self):
         kappa = 4.0
@@ -533,6 +632,21 @@ class TestHermitianBasis:
         want = _density_stack(_expm_steps(gen.matrix, vectorize(rho0.entries), times)
                               .reshape(times.size, n, n))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @_HERMITIAN_BASIS
+    @given(hermiticity_preserving_generators(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_propagation_keeps_the_bytes_of_the_hermitised_eigvalsh_check(self, gen, seed, pure):
+        n = gen.dim
+        rho0 = (DensityMatrix.basis_state(gen.basis, gen.basis.names[-1]) if pure
+                else _mixed_state(gen.basis, np.random.default_rng(seed)))
+        times = np.linspace(0.0, 3.0 / gen.norm(), 21)
+        g, real = _working_form(gen)
+        with one_thread(n * n):
+            x = _expm_steps(g, _real_coordinates(vectorize(rho0.entries), n), times)
+        assert real
+        want = _outcome(lambda: reference_eigvalsh_density_stack(
+            _vec_of_coordinates(x, n).reshape(times.size, n, n), times))
+        assert _outcome(lambda: propagate(gen, rho0, times).states) == want
 
     @_HERMITIAN_BASIS
     @given(hermiticity_preserving_generators(), st.integers(0, 2**32 - 1))
