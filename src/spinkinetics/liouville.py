@@ -59,8 +59,10 @@ DENSITY_HERMITIAN_TOL = 1e-10
 DENSITY_TRACE_FLOOR = -1e-9
 DENSITY_TRACE_CEILING = 1.0 + 1e-9
 DENSITY_EIG_FLOOR = -1e-9
-#: bytes of shifted states that the positivity check factorises at a time
-STATE_SLICE_BYTES = 2**19
+#: bytes of shifted states that the positivity check factorises at a time. A
+#: slice and its factor of 64 KiB reuse heap memory; at 512 KiB each took fresh
+#: pages, and a cold radical-pair run made 511 minor page faults, not 235
+STATE_SLICE_BYTES = 2**16
 #: eigenvalues of a decaying generator must sit below -DECAY_MARGIN * ||L||
 DECAY_MARGIN = 1e-12
 #: propagation steps whose lengths agree within this relative tolerance share
@@ -328,16 +330,6 @@ def _real_coordinates(v: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def _vec_of_coordinates(x: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`_real_coordinates` along the last axis of ``x``."""
-    upper, lower, _ = _pairs(n)
-    v = x.astype(complex)
-    v.real[..., lower] = x[..., upper]
-    v.imag[..., upper] = x[..., lower]
-    v.imag[..., lower] = -x[..., lower]
-    return v
-
-
 def _hermitian_form(matrix: np.ndarray, n: int) -> np.ndarray:
     """T^-1 G T for the basis change T of :func:`_pairs`, as a real array.
 
@@ -410,17 +402,16 @@ def _density_stack(stack: np.ndarray, times=None) -> np.ndarray:
 
 
 def _coordinate_states(x: np.ndarray, n: int) -> np.ndarray:
-    """(n_times, N, N) states with real coordinates ``x``: the Hermitisation of
-    :func:`_vec_of_coordinates`, bit for bit, written entry by entry instead
-    of through a transposed copy of the whole stack.
+    """Inverse of :func:`_real_coordinates` along the last axis of ``x``, as a
+    (k, N, N) stack that needs no Hermitising.
 
-    _vec_of_coordinates writes each (j, k)/(k, j) pair from one coordinate, so
-    its stack is Hermitian by construction and halving the doubled entries
-    gives them back exactly: x[jk] + i x[kj] above the diagonal and
-    x[jk] - i x[kj] below it. Only the signs of zeros differ. ``0.5 * z`` is
-    a complex product, which adds 0 * (the other part) to each part, so those
-    terms are added here as well. (Coordinates of 2**1023 and more would
-    overflow when doubled; no state has them.)
+    Each (j, k)/(k, j) pair is written from one coordinate, x[jk] + i x[kj]
+    above the diagonal and x[jk] - i x[kj] below it, so the stack is Hermitian
+    by construction. Its bits are those of Hermitising it, 0.5 * (rho +
+    rho^dag), down to the signs of zeros: that ``0.5 * z`` is a complex
+    product, which adds 0 * (the other part) to each part, so those terms are
+    added here as well. (Coordinates of 2**1023 and more would overflow when
+    doubled; no state has them.)
     """
     upper, lower, _ = _pairs(n)
     re, im = x[..., upper], x[..., lower]
@@ -578,5 +569,5 @@ def infinite_time_integral(l: Superoperator, rho0: DensityMatrix) -> OperatorMat
                 f"(max Re eigenvalue {eigs.real.max():.3e} vs norm {norm:.3e})"
             )
         x = np.linalg.solve(-g, _real_coordinates(v0, n) if real else v0)
-    xm = unvectorize(_vec_of_coordinates(x, n) if real else x, n)
-    return OperatorMatrix(l.basis, 0.5 * (xm + xm.conj().T))
+    xm = _coordinate_states(x, n)[0] if real else _hermitised(unvectorize(x, n))
+    return OperatorMatrix(l.basis, xm)

@@ -103,6 +103,18 @@ def reference_rk_propagate(l, rho0, times):
     return liouville.Propagation(l.basis, t, states)
 
 
+def reference_vec_of_coordinates(x, n):
+    """liouville._real_coordinates inverted as propagate and
+    infinite_time_integral inverted it before, ahead of Hermitising: the stack
+    whose Hermitisation liouville._coordinate_states must reproduce bit for bit."""
+    upper, lower, _ = liouville._pairs(n)
+    v = x.astype(complex)
+    v.real[..., lower] = x[..., upper]
+    v.imag[..., upper] = x[..., lower]
+    v.imag[..., lower] = -x[..., lower]
+    return v
+
+
 def reference_eigvalsh_density_stack(stack, times=None):
     """liouville._density_stack as it checked positivity before: ``eigvalsh``
     of every Hermitised slice. The bytes and errors the Cholesky check must

@@ -11,6 +11,7 @@ from _util import (
     reference_expm_steps,
     reference_matmul_expm_steps,
     reference_rk_propagate,
+    reference_vec_of_coordinates,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,7 +58,6 @@ from spinkinetics.liouville import (
     _projector_dephasing,
     _real_coordinates,
     _sandwich,
-    _vec_of_coordinates,
     _working_form,
     vectorize,
 )
@@ -490,15 +490,8 @@ class TestCholeskyStateCheck:
     @given(coordinate_stacks(st.floats(-1e300, 1e300)))
     def test_coordinate_states_are_the_hermitised_stack_bit_for_bit(self, case):
         n, x = case
-        want = _hermitised(_vec_of_coordinates(x, n).reshape(-1, n, n))
+        want = _hermitised(reference_vec_of_coordinates(x, n).reshape(-1, n, n))
         assert _coordinate_states(x, n).tobytes() == want.tobytes()
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(coordinate_stacks(st.floats(-1e300, 1e300).filter(bool)))
-    def test_without_zero_coordinates_the_stack_is_its_own_hermitisation(self, case):
-        n, x = case
-        stack = _vec_of_coordinates(x, n).reshape(-1, n, n)
-        assert stack.tobytes() == _hermitised(stack).tobytes()
 
     def test_holds_one_shifted_slice_beside_the_stack(self):
         n, size = 4, 20001
@@ -590,6 +583,18 @@ def _mixed_state(basis, rng):
     return DensityMatrix(basis, 0.5 * random_density(n, rng) + 0.5 * np.eye(n) / n)
 
 
+def _hermitised_solve(l, rho0):
+    """infinite_time_integral as it was computed before: the solve in the
+    Hermitian basis, inverted by reference_vec_of_coordinates, then Hermitised."""
+    n = l.dim
+    g, real = _working_form(l)
+    assert real
+    with one_thread(n * n):
+        x = np.linalg.solve(-g, _real_coordinates(vectorize(rho0.entries), n))
+    xm = reference_vec_of_coordinates(x, n).reshape(n, n)
+    return 0.5 * (xm + xm.conj().T)
+
+
 _HERMITIAN_BASIS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
@@ -603,7 +608,7 @@ class TestHermitianBasis:
             v = vectorize(rho)
             x = _real_coordinates(v, n)
             assert x.dtype == float
-            assert np.array_equal(_vec_of_coordinates(x, n), v)
+            assert np.array_equal(_coordinate_states(x, n).reshape(-1), v)
             assert np.array_equal(_basis_change(n) @ x, v)
 
     @_HERMITIAN_BASIS
@@ -645,7 +650,7 @@ class TestHermitianBasis:
             x = _expm_steps(g, _real_coordinates(vectorize(rho0.entries), n), times)
         assert real
         want = _outcome(lambda: reference_eigvalsh_density_stack(
-            _vec_of_coordinates(x, n).reshape(times.size, n, n), times))
+            reference_vec_of_coordinates(x, n).reshape(times.size, n, n), times))
         assert _outcome(lambda: propagate(gen, rho0, times).states) == want
 
     @_HERMITIAN_BASIS
@@ -658,6 +663,27 @@ class TestHermitianBasis:
         x = np.linalg.solve(-decaying.matrix, vectorize(rho0.entries)).reshape(n, n)
         want = 0.5 * (x + x.conj().T)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @_HERMITIAN_BASIS
+    @given(hermiticity_preserving_generators(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_the_infinite_time_integral_keeps_the_bytes_of_the_hermitised_solve(self, gen, seed,
+                                                                               pure):
+        n = gen.dim
+        decaying = Superoperator(gen.basis, gen.matrix - 1.5 * gen.norm() * np.eye(n * n))
+        rho0 = (DensityMatrix.basis_state(gen.basis, gen.basis.names[-1]) if pure
+                else _mixed_state(gen.basis, np.random.default_rng(seed)))
+        assert (infinite_time_integral(decaying, rho0).entries.tobytes()
+                == _hermitised_solve(decaying, rho0).tobytes())
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_an_uncoupled_state_keeps_the_signed_zeros_of_the_hermitised_solve(self, n):
+        basis = BasisLabel(tuple(str(k) for k in range(n)))
+        h = np.zeros((n, n))
+        h[:2, :2] = [[1.0, 0.3], [0.3, -0.5]]  # state 2 and above never mix
+        gen = assemble_generator(op(basis, h), reactors=[Superoperator(basis, np.eye(n * n))])
+        rho0 = DensityMatrix.basis_state(basis, "0")
+        assert (infinite_time_integral(gen, rho0).entries.tobytes()
+                == _hermitised_solve(gen, rho0).tobytes())
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_a_map_that_does_not_preserve_hermiticity_is_a_numerical_error(self, n):
