@@ -393,10 +393,13 @@ def _hermitised(stack: np.ndarray) -> np.ndarray:
 
 def _density_stack(stack: np.ndarray, times=None) -> np.ndarray:
     """Hermitised, read-only copy of a (n, N, N) stack of density matrices,
-    checked by :func:`_checked_states`.
+    checked by :func:`_checked_states`: positivity by a Cholesky
+    factorisation, with eigenvalues taken only to name a failure.
 
     Every DensityMatrix and every propagation path but the real-coordinate one
-    of ``propagate`` goes through it. Non-finite entries raise NumericalError.
+    of ``propagate`` goes through it; that one builds a stack Hermitian by
+    construction (:func:`_coordinate_states`) and checks it directly.
+    Non-finite entries raise NumericalError.
     """
     return _checked_states(_hermitised(_finite(stack)), times)
 
