@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liouville
-from .errors import ValidationError
+from .errors import ValidationError, checked
 from .liouville import OperatorMatrix, Superoperator, _check_same_basis, _sandwich
 
 #: relative tolerance used to merge nearly degenerate Bohr frequencies
@@ -73,10 +73,8 @@ class Lorentzian:
     tau_c: float
 
     def __post_init__(self):
-        if not (self.amplitude >= 0 and math.isfinite(self.amplitude)):
-            raise ValidationError("Lorentzian amplitude must be finite and nonnegative")
-        if not (self.tau_c > 0 and math.isfinite(self.tau_c)):
-            raise ValidationError("Lorentzian tau_c must be positive")
+        checked("Lorentzian amplitude", self.amplitude, 0)
+        checked("Lorentzian tau_c", self.tau_c, 0, strict=True)
 
     def value(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -90,8 +88,7 @@ class WhiteNoise:
     level: float
 
     def __post_init__(self):
-        if not (self.level >= 0 and math.isfinite(self.level)):
-            raise ValidationError("white-noise level must be finite and nonnegative")
+        checked("white-noise level", self.level, 0)
 
     def value(self, omega):
         return np.full(np.shape(omega), float(self.level))[()]  # a scalar from 0-d
@@ -114,8 +111,8 @@ class Tabulated:
         j = np.asarray(self.values, dtype=float)
         if w.ndim != 1 or w.shape != j.shape or w.size < 2:
             raise ValidationError("tabulated spectrum needs matching 1-d grids")
-        if w[0] < 0:
-            raise ValidationError("tabulated grid must cover omega >= 0 only")
+        if not (np.all(np.isfinite(w)) and w[0] >= 0):
+            raise ValidationError("tabulated grid must be finite and cover omega >= 0 only")
         if np.any(np.diff(w) <= 0):
             raise ValidationError("tabulated grid must be strictly increasing")
         if np.any(j < 0) or not np.all(np.isfinite(j)):
@@ -134,8 +131,7 @@ ZERO_DENSITY = WhiteNoise(0.0)
 
 def thermal_factor(beta: float, omega):
     """tanh(beta * omega / 2) with the beta = +inf limit taken as sign(omega)."""
-    if beta < 0:
-        raise ValidationError("inverse temperature must be nonnegative")
+    beta = checked("beta", beta, 0, infinite=True)
     w = np.asarray(omega, dtype=float)
     return np.sign(w) if math.isinf(beta) else np.tanh(0.5 * beta * w)
 
@@ -150,11 +146,9 @@ class CouplingOperator:
     def __init__(self, label: str, matrix: OperatorMatrix, spectral_index: int):
         if not matrix.is_hermitian():
             raise ValidationError(f"coupling operator {label!r} must be Hermitian")
-        if spectral_index < 0:
-            raise ValidationError("spectral_index must be nonnegative")
         self.label = str(label)
         self.matrix = matrix
-        self.spectral_index = int(spectral_index)
+        self.spectral_index = int(checked("spectral_index", spectral_index, 0))
 
     def __repr__(self):
         return f"CouplingOperator({self.label!r}, spectral_index={self.spectral_index})"
@@ -195,11 +189,9 @@ class BathSpec:
                 f"missing spectral density for channel pair: index {top} "
                 f"outside {m}x{m} grid"
             )
-        if beta < 0:
-            raise ValidationError("inverse temperature must be nonnegative")
         self.couplings = couplings
         self.densities = tuple(grid)
-        self.beta = float(beta)
+        self.beta = float(checked("beta", beta, 0, infinite=True))
         self.basis = couplings[0].matrix.basis
 
     @classmethod
@@ -417,9 +409,7 @@ def validity_check(superop: Superoperator, tau_c: float) -> ValidityReport:
     correlation time to be small: ratio <= 0.1 passes, <= 0.01 passes with
     margin.
     """
-    if not (tau_c > 0 and math.isfinite(tau_c)):
-        raise ValidationError("tau_c must be positive and finite")
-    ratio = superop.norm() * tau_c
+    ratio = checked("tau_c", tau_c, 0, strict=True) * superop.norm()
     headroom = 1.0 + 1e-9  # keep exact-boundary cases from flipping on rounding
     return ValidityReport(
         ratio=ratio,

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import RegimeError, ValidationError
+from .errors import RegimeError, ValidationError, checked
 from .radical_pair import RateElements, ReactionModel
 
 #: constant term in the dephasing-radius formula
@@ -40,7 +40,9 @@ class DiffusionParams:
     z_cage (cm^3) configurational volume of the well; kappa0_s / kappa0_t
     contact reactivities (s^-1); q_spin the characteristic spin-dependent
     interaction (s^-1); tau_c the short-range fluctuation correlation time (s);
-    lambda_amp the amplitude of stochastic contact motion (cm).
+    lambda_amp the amplitude of stochastic contact motion (cm). The optional
+    inputs are checked at construction when given; ``require`` then only
+    checks that one is present.
     """
 
     d: float
@@ -57,18 +59,19 @@ class DiffusionParams:
 
     def __post_init__(self):
         for name in ("d", "lambda0", "big_d", "alpha"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValidationError(f"{name} must be positive and finite")
-        if not math.isfinite(self.j0):
-            raise ValidationError("j0 must be finite")
+            checked(name, getattr(self, name), 0, strict=True)
+        checked("j0", self.j0)
+        # the optional inputs, when given: kappa0 and lambda_amp may be 0, and
+        # kappa0 = inf is the limit where the reaction radius saturates at d
+        for name in ("z_cage", "kappa0_s", "kappa0_t", "q_spin", "tau_c", "lambda_amp"):
+            if getattr(self, name) is not None:
+                checked(name, getattr(self, name), 0, strict=name in ("z_cage", "q_spin", "tau_c"),
+                        infinite=name.startswith("kappa0"))
 
-    def require(self, name: str, positive: bool = True) -> float:
+    def require(self, name: str) -> float:
         v = getattr(self, name)
         if v is None:
             raise ValidationError(f"parameter {name} is required here")
-        if positive and not (v > 0 and math.isfinite(v)):
-            raise ValidationError(f"{name} must be positive and finite")
         return float(v)
 
 
@@ -78,9 +81,7 @@ def reaction_radius(kappa0: float, p: DiffusionParams) -> float:
     Monotone in the contact reactivity and saturating at the contact distance:
     kappa0 = 0 gives 0, kappa0 -> inf gives d.
     """
-    if kappa0 < 0:
-        raise ValidationError("contact reactivity must be nonnegative")
-    if math.isinf(kappa0):
+    if checked("kappa0", kappa0, 0, infinite=True) == math.inf:
         return p.d
     q = kappa0 * p.d * p.lambda0 / p.big_d
     return p.d * q / (1.0 + q)
@@ -121,8 +122,8 @@ class ReactionRadii:
 def compute_radii(p: DiffusionParams) -> ReactionRadii:
     """All three radii from the contact reactivities and the exchange profile."""
     return ReactionRadii(
-        l_ss=reaction_radius(p.require("kappa0_s", positive=False), p),
-        l_tt=reaction_radius(p.require("kappa0_t", positive=False), p),
+        l_ss=reaction_radius(p.require("kappa0_s"), p),
+        l_tt=reaction_radius(p.require("kappa0_t"), p),
         l_st=dephasing_radius(p),
     )
 
@@ -160,12 +161,8 @@ def st_dephasing_rate_estimate(p: DiffusionParams) -> float:
     length lambda_amp near contact is j0 * alpha * lambda_amp; the square times
     the correlation time is the corresponding dephasing rate.
     """
-    lam = p.require("lambda_amp", positive=False)
-    if lam < 0:
-        raise ValidationError("lambda_amp must be nonnegative")
-    tau = p.require("tau_c")
-    jbar = p.j0 * p.alpha * lam
-    return jbar * jbar * tau
+    jbar = p.j0 * p.alpha * p.require("lambda_amp")
+    return jbar * jbar * p.require("tau_c")
 
 
 @dataclass(frozen=True)
@@ -187,8 +184,7 @@ def recombination_sensitivity(
     difference between the reaction and dephasing radii.
     """
     q = p.require("q_spin")
-    if l_st < l_ss:
-        raise ValidationError("dephasing radius must not be smaller than l_ss")
+    checked("l_st", l_st, checked("l_ss", l_ss))  # the dephasing radius is at least l_ss
     value = q * (l_st - l_ss) ** 2 / p.big_d
     return SensitivityIndex(value=value, insensitive=value < SensitivityIndex.INSENSITIVE_BELOW)
 
@@ -214,7 +210,8 @@ def equal_radius_regime_check(p: DiffusionParams, tolerance: float = 0.2) -> Equ
     its boundary). ``radii_match`` is true when additionally the radii
     agree within ``tolerance`` relative to l_ss.
     """
-    kappa0_s = p.require("kappa0_s", positive=False)
+    checked("tolerance", tolerance, 0)
+    kappa0_s = p.require("kappa0_s")
     q_s = kappa0_s * p.d * p.lambda0 / p.big_d
     ratio = abs(p.j0) / (p.big_d * p.alpha**2)
     in_regime = q_s >= 100.0 and 1.0 <= ratio <= 10.0

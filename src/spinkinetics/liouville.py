@@ -8,9 +8,11 @@ Conventions shared by the whole package:
 * every container copies its array argument and marks it read-only, which makes
   values safe to share between parameter-sweep workers;
 * a value is checked once, where it enters the package: at the public
-  constructors and the CLI schema. Package code that derives one checked value
-  from another (a matrix Hermitian by construction, a relabelled coupling, a
-  generator summed from checked parts) does not check it again.
+  constructors and functions, each scalar by ``errors.checked`` (NaN never
+  passes, +inf only for beta and kappa0), and at the CLI schema. Package code
+  that derives one checked value from another (a matrix Hermitian by
+  construction, a relabelled coupling, a generator summed from checked parts)
+  does not check it again.
 
 Every generator the package builds preserves Hermiticity: -i[H, .], the
 Redfield R and the reaction K. In the Hermitian operator basis E_jj,
@@ -184,6 +186,8 @@ class DensityMatrix:
         psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if psi.size != basis.dim:
             raise DimensionMismatchError("state vector length does not match basis")
+        if not np.all(np.isfinite(psi)):  # inf * 0 in the outer product would warn
+            raise ValidationError("state vector entries must be finite")
         return cls(basis, np.outer(psi, psi.conj()))
 
     @classmethod
@@ -495,8 +499,8 @@ def _validated_times(times) -> np.ndarray:
     t = np.array(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValidationError("times must be a non-empty 1-d sequence")
-    if t[0] < 0 or np.any(np.diff(t) <= 0):
-        raise ValidationError("times must be nonnegative and strictly increasing")
+    if not (np.all(np.isfinite(t)) and t[0] >= 0 and np.all(np.diff(t) > 0)):
+        raise ValidationError("times must be finite, nonnegative and strictly increasing")
     t.setflags(write=False)
     return t
 

@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked
 from .liouville import (
     BasisLabel,
     DensityMatrix,
@@ -76,8 +76,7 @@ class PairHamiltonian:
 
     def __post_init__(self):
         for name in ("omega_mean", "delta_omega", "j_exchange"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+            checked(name, getattr(self, name))
 
     def operator(self) -> OperatorMatrix:
         h = np.zeros((4, 4), dtype=complex)
@@ -113,9 +112,7 @@ class ReactionModel:
 
     def __post_init__(self):
         for name in ("kappa_s", "kappa_t", "kappa_st"):
-            value = getattr(self, name)
-            if value < 0 or not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite and nonnegative")
+            checked(name, getattr(self, name), 0)
         v = self.variant
         if v is ReactionVariant.HABERKORN and self.kappa_st != 0.0:
             raise ValidationError("haberkorn variant requires kappa_st = 0")
@@ -249,14 +246,8 @@ def pure_state_propagate(
     """
     if m.kappa_st != 0.0:
         raise ValidationError("pure-state factorisation requires kappa_st = 0")
+    DensityMatrix.pure(PAIR_BASIS, psi0)  # checks length, finiteness and norm
     psi = np.asarray(psi0, dtype=complex).reshape(-1)
-    if psi.size != 4:
-        raise ValidationError("state vector must have four amplitudes")
-    if not np.all(np.isfinite(psi)):
-        raise ValidationError("state vector must be finite")
-    norm = float(np.vdot(psi, psi).real)
-    if norm > 1.0 + 1e-9:
-        raise ValidationError("state vector norm must not exceed one")
     drift = -(
         1j * h.operator().entries + 0.5 * (m.kappa_s * _P_S.entries + m.kappa_t * _P_T.entries)
     )

@@ -38,7 +38,7 @@ from .bloch_redfield import (
     relaxation_supermatrix,
     validity_check,
 )
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, checked
 from .liouville import OperatorMatrix
 from .three_state import SX, THREE_STATE_BASIS, hamiltonian
 
@@ -79,15 +79,10 @@ class NoiseProcess:
     dt: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.variance > 0 and math.isfinite(self.variance)):
-            raise ValidationError("noise variance must be positive and finite")
-        if not (self.tau_c > 0 and math.isfinite(self.tau_c)):
-            raise ValidationError("tau_c must be positive and finite")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
-        dt = self.dt if self.dt is not None else self.tau_c / 20.0
-        if not (dt > 0 and math.isfinite(dt)):
-            raise ValidationError("dt must be positive and finite")
+        checked("noise variance", self.variance, 0, strict=True)
+        checked("tau_c", self.tau_c, 0, strict=True)
+        checked("seed", self.seed, 0)
+        dt = checked("dt", self.dt if self.dt is not None else self.tau_c / 20.0, 0, strict=True)
         if dt > self.tau_c / 20.0 * (1 + 1e-12):
             raise ValidationError("dt must not exceed tau_c / 20")
         object.__setattr__(self, "dt", float(dt))
@@ -177,10 +172,9 @@ def simulate_noise(
     drawn straight into ``values`` and its paths written back in place, block
     by block, so no second path-sized array is made.
     """
-    if duration <= 10.0 * p.tau_c:
-        raise ValidationError("duration must exceed 10 correlation times")
-    if n_paths < 1:
-        raise ValidationError("n_paths must be at least one")
+    checked("duration", duration, 10.0 * p.tau_c, strict=True)
+    checked("n_paths", n_paths, 1)
+    checked("stream", stream, 0)
     n_steps = int(math.ceil(duration / p.dt - 1e-9))
     values = np.empty((n_paths, n_steps + 1))
     for i, size in enumerate(_chunk_sizes(n_paths)):
@@ -236,10 +230,7 @@ def correlation_spectrum(paths: NoisePaths) -> CorrelationSpectrum:
     within each CHUNK of paths the power adds path after path, the order of one
     einsum over the chunk, so the slice size moves no bit.
     """
-    if paths.n_paths < MIN_SPECTRUM_PATHS:
-        raise ValidationError(
-            f"spectral estimation needs >= {MIN_SPECTRUM_PATHS} paths, got {paths.n_paths}"
-        )
+    checked("paths.n_paths", paths.n_paths, MIN_SPECTRUM_PATHS)
     p = paths.process
     n = paths.times.size
     n_lags = min(int(round(10.0 * p.tau_c / p.dt)), (n - 1) // 2)
@@ -273,8 +264,7 @@ def correlation_spectrum(paths: NoisePaths) -> CorrelationSpectrum:
 # ---------------------------------------------------------------------------
 
 def _check_perturbative_window(p: NoiseProcess, duration: float) -> None:
-    if duration <= p.tau_c:
-        raise ValidationError("duration must exceed the correlation time")
+    checked("duration", duration, p.tau_c, strict=True)
     if duration * math.sqrt(p.variance) >= PERTURBATIVE_WINDOW_LIMIT:
         raise ValidationError(
             "duration violates the second-order window: need "
@@ -419,8 +409,9 @@ def perturbative_amplitudes(
     in chunk order, so every cell gets the same additions in the same order
     whatever the map: the result does not depend on it, bit for bit.
     """
-    if n_traj < 1:
-        raise ValidationError("n_traj must be at least one")
+    checked("n_traj", n_traj, 1)
+    checked("omega_s", omega_s)
+    checked("omega0", omega0)
     _check_perturbative_window(p, duration)
     n_batches = max(1, min(N_BATCHES, n_traj))
     n_steps = int(math.ceil(duration / p.dt - 1e-9))

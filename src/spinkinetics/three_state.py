@@ -22,7 +22,7 @@ from .bloch_redfield import (
     SpectralDensity,
     relaxation_supermatrix,
 )
-from .errors import ValidationError
+from .errors import ValidationError, checked
 from .liouville import (
     BasisLabel,
     OperatorMatrix,
@@ -53,12 +53,9 @@ class ThreeStateParams:
     isotropic: bool = False
 
     def __post_init__(self):
-        if not (self.omega_s > 0 and math.isfinite(self.omega_s)):
-            raise ValidationError("omega_s must be positive and finite")
-        if not math.isfinite(self.omega0):
-            raise ValidationError("omega0 must be finite")
-        if self.beta < 0:
-            raise ValidationError("beta must be nonnegative")
+        checked("omega_s", self.omega_s, 0, strict=True)
+        checked("omega0", self.omega0)
+        checked("beta", self.beta, 0, infinite=True)
 
 
 @dataclass(frozen=True)
@@ -180,8 +177,7 @@ def projection_limit_super(
     returned superoperator is the generator itself (decay built in).
     """
     for name, rate in (("w11_inf", w11_inf), ("splitting_rate", splitting_rate), ("w00_inf", w00_inf)):
-        if rate < 0 or not math.isfinite(rate):
-            raise ValidationError(f"{name} must be finite and nonnegative")
+        checked(name, rate, 0)
     p1 = _pair_operator(1, 1)
     gen = _anticommutator(p1) * complex(-0.5 * w11_inf)
     if splitting_rate:
@@ -204,9 +200,7 @@ def projection_limit_deviation(p: ThreeStateParams, beta_omega_s: float) -> floa
         raise ValidationError(
             "limit comparison is defined for the bare transverse bath only"
         )
-    if beta_omega_s < 0:
-        raise ValidationError("beta_omega_s must be nonnegative")
-    beta = beta_omega_s / p.omega_s if not math.isinf(beta_omega_s) else math.inf
+    beta = checked("beta_omega_s", beta_omega_s, 0, infinite=True) / p.omega_s
     h, bath = build_bath(replace(p, beta=beta))
     r = np.array(relaxation_supermatrix(bath, h).matrix)
     # population feed terms (1,1)<->(2,2); the projector form keeps only decay

@@ -6,6 +6,7 @@ from _util import hermiticity_defect_sample, random_density, random_state
 
 from spinkinetics import (
     DensityMatrix,
+    DimensionMismatchError,
     NonDecayingGeneratorError,
     PairHamiltonian,
     ReactionModel,
@@ -18,7 +19,12 @@ from spinkinetics import (
     recombination_yields,
 )
 from spinkinetics.radical_pair import PAIR_BASIS, generator
-from spinkinetics.liouville import Superoperator, _projector_dephasing, propagate
+from spinkinetics.liouville import (
+    DENSITY_TRACE_CEILING,
+    Superoperator,
+    _projector_dephasing,
+    propagate,
+)
 
 
 class TestProjectors:
@@ -313,6 +319,26 @@ class TestPureStateFactorisation:
                 [1, 0, 0, 0],
                 [1.0],
             )
+
+    def test_wrong_length_state_vector_rejected_like_every_state(self):
+        with pytest.raises(DimensionMismatchError, match="length"):
+            pure_state_propagate(
+                ReactionModel.haberkorn(1.0, 0.0), PairHamiltonian(), [1, 0, 0], [1.0]
+            )
+
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        with pytest.raises(ValidationError, match="finite"):
+            pure_state_propagate(
+                ReactionModel.haberkorn(1.0, 0.0), PairHamiltonian(), [amplitude, 0, 0, 0], [1.0]
+            )
+
+    def test_norm_above_one_rejected_at_the_state_trace_ceiling(self):
+        model, h = ReactionModel.haberkorn(1.0, 0.0), PairHamiltonian()
+        slack = DENSITY_TRACE_CEILING - 1.0  # the bound every state's trace meets
+        pure_state_propagate(model, h, [np.sqrt(1.0 + 0.5 * slack), 0, 0, 0], [1.0])
+        with pytest.raises(ValidationError, match="trace"):
+            pure_state_propagate(model, h, [np.sqrt(1.0 + 2.0 * slack), 0, 0, 0], [1.0])
 
 
 class TestTraceFlux:
