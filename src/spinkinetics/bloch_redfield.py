@@ -73,8 +73,8 @@ class Lorentzian:
     tau_c: float
 
     def __post_init__(self):
-        checked("Lorentzian amplitude", self.amplitude, 0)
-        checked("Lorentzian tau_c", self.tau_c, 0, strict=True)
+        checked("amplitude", self.amplitude, 0)
+        checked("tau_c", self.tau_c, 0, strict=True)
 
     def value(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -88,7 +88,7 @@ class WhiteNoise:
     level: float
 
     def __post_init__(self):
-        checked("white-noise level", self.level, 0)
+        checked("level", self.level, 0)
 
     def value(self, omega):
         return np.full(np.shape(omega), float(self.level))[()]  # a scalar from 0-d
@@ -148,7 +148,7 @@ class CouplingOperator:
             raise ValidationError(f"coupling operator {label!r} must be Hermitian")
         self.label = str(label)
         self.matrix = matrix
-        self.spectral_index = int(checked("spectral_index", spectral_index, 0))
+        self.spectral_index = int(checked("spectral_index", spectral_index, 0, integer=True))
 
     def __repr__(self):
         return f"CouplingOperator({self.label!r}, spectral_index={self.spectral_index})"

@@ -3,10 +3,13 @@
 Config keys carry explicit unit suffixes (``kappa_s_per_s``, ``d_cm``,
 ``omega_s_rad_s``) because unit slips are the dominant failure mode when
 mixing cm-scale diffusion inputs with s^-1 rates. Each scenario's keys are
-one table of defaults and checks; unknown keys are rejected, and every value,
-sweep grid points included, is checked before any work starts. All floating
-outputs are printed with 12 significant digits so outputs are reproducible bit
-for bit for a fixed seed.
+one table of defaults and JSON types; unknown keys are rejected. A value's
+range has one check: the library constructor it enters, which the scenario's
+build stage calls, in the parent, for a run and for every sweep grid point
+before any work starts, naming the config key of a value out of range. Only
+inputs that enter no constructor, and sizes, keep a bound in the table. All
+floating outputs are printed with 12 significant digits so outputs are
+reproducible bit for bit for a fixed seed.
 
 Exit codes: 0 success, 2 config parse failure, 3 validation or regime
 failure, 4 numerical failure. Errors print a one-line JSON reason to stderr.
@@ -33,10 +36,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bloch_redfield as br
-from . import diffusion, radical_pair, stochastic, three_state
+from . import diffusion, liouville, radical_pair, stochastic, three_state
 from ._blas import one_thread
 from .errors import NumericalError, SpinKineticsError, ValidationError
-from .liouville import DensityMatrix, assemble_generator, propagate
+from .liouville import DensityMatrix
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -61,9 +64,7 @@ class ConfigError(ValidationError):
 
 def _round12(x):
     """Round a float to 12 significant digits (deterministic output contract)."""
-    if isinstance(x, bool) or not isinstance(x, float):
-        return x
-    if not math.isfinite(x):
+    if not isinstance(x, float) or not math.isfinite(x):  # a bool is no float
         return x
     return float(f"{x:.12g}")
 
@@ -152,7 +153,9 @@ def _number(low=-math.inf, *, strict=False):
     return check
 
 
-_REAL = _number()
+#: a library input: its range is checked by the library constructor it enters
+_NUMBER = _number()
+#: bounds of the inputs that enter no constructor: they are checked here
 _NONNEGATIVE = _number(0.0)
 _POSITIVE = _number(0.0, strict=True)
 
@@ -175,61 +178,69 @@ def _one_of(options):
     return check
 
 
-def _boolean(value, where):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false")
-    return value
+def _typed(kind, text: str):
+    """Check: a value of type ``kind``, which ``text`` names."""
+    def check(value, where):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{where} must be {text}")
+        return value
+    return check
 
 
-def _object(value, where):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object")
-    return value
-
-
-def _text(value, where):
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string")
-    return value
+_boolean = _typed(bool, "true or false")
+_object = _typed(dict, "an object")
+_text = _typed(str, "a string")
 
 
 def _beta(value, where):
-    """Inverse temperature in s: a number >= 0, or "inf" for the irreversible limit."""
+    """Inverse temperature in s: a number, or "inf" for the irreversible limit."""
     if isinstance(value, str) and value.lower() in ("inf", "infinity"):
         return math.inf
-    return _NONNEGATIVE(value, where)
+    return _NUMBER(value, where)
 
 
-def _list_of(item, min_len: int):
+def _list_of(item, min_len: int = 0):
     """Check: a list of at least ``min_len`` values, each checked by ``item``."""
     def check(value, where):
         if not isinstance(value, list) or len(value) < min_len:
-            raise ConfigError(f"{where} must be a list of at least {min_len} values")
+            size = f" of at least {min_len} values" if min_len else ""
+            raise ConfigError(f"{where} must be a list{size}")
         return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
     return check
 
 
-_DENSITIES = {  # form -> (spectrum class, the schema of its arguments in order)
-    "lorentzian": (br.Lorentzian, {"lambda_c_rad2_s2": (REQUIRED, _NONNEGATIVE),
-                                   "tau_c_s": (REQUIRED, _POSITIVE)}),
-    "white": (br.WhiteNoise, {"level_rad2_per_s": (REQUIRED, _NONNEGATIVE)}),
-    "tabulated": (br.Tabulated, {"omega_rad_s": (REQUIRED, _list_of(_REAL, 2)),
-                                 "values_rad2_per_s": (REQUIRED, _list_of(_REAL, 2))}),
+def _built(make, params: dict, keys: dict, where: str = "config.parameters", **fixed):
+    """``make`` called with ``fixed`` and each keyword of ``keys``, a keyword ->
+    config key table, set to its key's value (None for a key left out). A
+    library ValidationError that opens with a keyword of a given key is
+    re-raised as a ConfigError naming the key instead; any other names ``where``."""
+    try:
+        return make(**{kw: params.get(key) for kw, key in keys.items()}, **fixed)
+    except ValidationError as exc:
+        name, _, rest = str(exc).partition(" ")
+        key = keys.get(name)
+        raise ConfigError(f"{where}.{key} {rest}" if key in params else f"{where}: {exc}") from None
+
+
+#: form -> (spectrum class, its keyword -> config key table)
+_DENSITIES = {
+    "lorentzian": (br.Lorentzian, {"amplitude": "lambda_c_rad2_s2", "tau_c": "tau_c_s"}),
+    "white": (br.WhiteNoise, {"level": "level_rad2_per_s"}),
+    "tabulated": (br.Tabulated, {"omega": "omega_rad_s", "values": "values_rad2_per_s"}),
 }
-_DENSITY = _Tagged("form", {form: args for form, (_, args) in _DENSITIES.items()})
+_DENSITY = _Tagged("form", {
+    form: {key: (REQUIRED, _list_of(_NUMBER) if form == "tabulated" else _NUMBER)
+           for key in keys.values()} for form, (_, keys) in _DENSITIES.items()})
 
 
 def _density(value, where):
     """Check: a spectral density block, built into its spectrum."""
     _, args = _block(_DENSITY, value, where)
-    cls, _ = _DENSITIES[args.pop("form")]
-    try:
-        return cls(*args.values())
-    except ValidationError as exc:  # a tabulated grid that is not increasing, say
-        raise ConfigError(f"{where}: {exc}") from None
+    cls, keys = _DENSITIES[args["form"]]
+    return _built(cls, args, keys, where)
 
 
-_TIME_GRID = {"t_max_s": (REQUIRED, _POSITIVE),
+_TIME_GRID = {"t_max_s": (REQUIRED, _POSITIVE),  # the propagation's: no constructor takes it
               "n_points": (201, _integer(2, TIME_GRID_MAX_POINTS))}
 
 
@@ -248,38 +259,11 @@ def _grid(value, where):
     return value
 
 
-def _state_series(gen, rho0, params, available):
-    """Propagate rho0 on the configured grid and slice the observables off it.
-
-    Returns (columns, one (n_times, n_cols) array). ``available`` maps each
-    observable to None (the trace) or to a label pair (row, col): a
-    population when row == col, else a coherence magnitude.
-    """
-    grid = params["time_grid"]
-    prop = propagate(gen, rho0, np.linspace(0.0, grid["t_max_s"], grid["n_points"]))
-
-    def column(pair):
-        if pair is None:
-            return prop.traces()
-        z = prop.coherence(*pair)
-        # hypot, not np.abs: it rounds exactly like Python's abs(complex)
-        return z.real if pair[0] == pair[1] else np.hypot(z.real, z.imag)
-
-    names = params["observables"]
-    return ["t_s", *names], np.column_stack([prop.times] + [column(available[c]) for c in names])
-
-
 def _validity_block(tau_c, report):
     """The ``validity`` results block of ``report``, the validity check at
     ``tau_c``; a block of None results when nothing was checked."""
-    if report is None:
-        return {"ratio": None, "tau_c_s": tau_c, "pass": None, "strong_pass": None}
-    return {
-        "ratio": report.ratio,
-        "tau_c_s": tau_c,
-        "pass": report.passes,
-        "strong_pass": report.strong_pass,
-    }
+    return {"ratio": report and report.ratio, "tau_c_s": tau_c,
+            "pass": report and report.passes, "strong_pass": report and report.strong_pass}
 
 
 def _rate_block(elements) -> dict:
@@ -288,7 +272,9 @@ def _rate_block(elements) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# three-state scenario
+# scenarios: each one's schema, then its build, results and series stages. A
+# stage calls the library through its modules when it runs, so that a wrapper
+# a tracer sets on a module attribute sees the call.
 # ---------------------------------------------------------------------------
 
 _TS_COLUMNS = {"rho_00": ("0", "0"), "rho_11": ("1", "1"), "rho_22": ("2", "2"),
@@ -302,48 +288,43 @@ _TS_STATES = {
     "superposition_12": [0, 1 / math.sqrt(2), 1 / math.sqrt(2)],
 }
 _THREE_STATE = {
-    "omega0_rad_s": (0.0, _REAL),
-    "omega_s_rad_s": (REQUIRED, _POSITIVE),
+    "omega0_rad_s": (0.0, _NUMBER),
+    "omega_s_rad_s": (REQUIRED, _NUMBER),
     "beta_s": (REQUIRED, _beta),
     "spectral_density": (REQUIRED, _density),
     "splitting_density": (OPTIONAL, _density),
     "isotropic": (False, _boolean),
-    "tau_c_s": (OPTIONAL, _POSITIVE),
+    "tau_c_s": (OPTIONAL, _POSITIVE),  # the validity check's: no constructor takes it
     "initial_state": ("1", _one_of(_TS_STATES)),
     "time_grid": (REQUIRED, _TIME_GRID),
     "observables": (list(_TS_COLUMNS), _list_of(_one_of(_TS_COLUMNS), 1)),
 }
+#: ThreeStateParams keyword -> config key
+_TS_KEYS = {"omega0": "omega0_rad_s", "omega_s": "omega_s_rad_s", "beta": "beta_s",
+            "transverse": "spectral_density", "splitting": "splitting_density",
+            "isotropic": "isotropic"}
 
 
-def _run_three_state(params: dict, seed, workers):
-    p = three_state.ThreeStateParams(
-        omega0=params["omega0_rad_s"],
-        omega_s=params["omega_s_rad_s"],
-        beta=params["beta_s"],
-        transverse=params["spectral_density"],
-        splitting=params.get("splitting_density"),
-        isotropic=params["isotropic"],
-    )
+def _build_three_state(params: dict, seed):
+    return dict(params, model=_built(three_state.ThreeStateParams, params, _TS_KEYS))
+
+
+def _three_state_results(point: dict, workers):
+    p = point["model"]
     rates = three_state.closed_form_rates(p)
     h, bath = three_state.build_bath(p)
     relax = br.relaxation_supermatrix(bath, h)
-    tau_c = params.get("tau_c_s")
+    tau_c = point.get("tau_c_s")
     if tau_c is None and isinstance(p.transverse, br.Lorentzian):
         tau_c = p.transverse.tau_c
-    rho0 = _initial_state("three-state", params["initial_state"])
-    series = _state_series(assemble_generator(h, relaxers=[relax]), rho0, params, _TS_COLUMNS)
     results = {
         "rates": {f"{f.name}_per_s": getattr(rates, f.name) for f in dataclasses.fields(rates)},
         "validity": _validity_block(
             tau_c, None if tau_c is None else br.validity_check(relax, tau_c)
         ),
     }
-    return results, series
+    return results, functools.partial(liouville.assemble_generator, h, relaxers=[relax])
 
-
-# ---------------------------------------------------------------------------
-# radical-pair scenario
-# ---------------------------------------------------------------------------
 
 _RP_COLUMNS = {"rho_SS": ("S", "S"), "rho_TpTp": ("T+", "T+"), "rho_T0T0": ("T0", "T0"),
                "rho_TmTm": ("T-", "T-"), "abs_rho_ST0": ("S", "T0"), "trace": None}
@@ -355,61 +336,82 @@ _RP_STATES = {
     "superposition_ST0": [1 / math.sqrt(2), 0, 1 / math.sqrt(2), 0],
     "mixed": None,
 }
-#: scenario -> (basis, its initial states: name -> amplitudes, None for maximally mixed)
-_STATES = {"three-state": (three_state.THREE_STATE_BASIS, _TS_STATES),
-           "radical-pair": (radical_pair.PAIR_BASIS, _RP_STATES)}
+#: scenario -> (basis, its initial states: name -> amplitudes, None for maximally
+#: mixed, its observables: name -> None for the trace, or a label pair (row, col):
+#: a population when row == col, else a coherence magnitude)
+_STATES = {"three-state": (three_state.THREE_STATE_BASIS, _TS_STATES, _TS_COLUMNS),
+           "radical-pair": (radical_pair.PAIR_BASIS, _RP_STATES, _RP_COLUMNS)}
 
 
 @functools.cache
 def _initial_state(scenario: str, name: str) -> DensityMatrix:
     """The initial state ``name`` of ``scenario``, built on its first use and
     shared after (a DensityMatrix is read-only)."""
-    basis, states = _STATES[scenario]
+    basis, states, _ = _STATES[scenario]
     if states[name] is None:
         return DensityMatrix.maximally_mixed(basis)
     return DensityMatrix.pure(basis, states[name])
 
 
-_KS_KT = {"kappa_s_per_s": (REQUIRED, _NONNEGATIVE), "kappa_t_per_s": (REQUIRED, _NONNEGATIVE)}
-_REACTIONS = {  # variant -> (ReactionModel factory, the schema of its rates in order)
-    "haberkorn": (radical_pair.ReactionModel.haberkorn, _KS_KT),
-    "jones_hore": (radical_pair.ReactionModel.jones_hore, _KS_KT),
-    "generalized": (radical_pair.ReactionModel.generalized,
-                    {**_KS_KT, "kappa_st_per_s": (0.0, _NONNEGATIVE)}),
-    "dephasing_only": (radical_pair.ReactionModel.dephasing_only,
-                       {"kappa_d_per_s": (REQUIRED, _NONNEGATIVE)}),
-}
+def _state_series(scenario: str, point: dict, generator):
+    """The series stage of a scenario that propagates a state: the point's
+    initial state propagated by ``generator()`` on its time grid, as (columns,
+    one (n_times, n_cols) array) of its observables."""
+    grid = point["time_grid"]
+    rho0 = _initial_state(scenario, point["initial_state"])
+    times = np.linspace(0.0, grid["t_max_s"], grid["n_points"])
+    prop = liouville.propagate(generator(), rho0, times)
+
+    def column(pair):
+        if pair is None:
+            return prop.traces()
+        z = prop.coherence(*pair)
+        # hypot, not np.abs: it rounds exactly like Python's abs(complex)
+        return z.real if pair[0] == pair[1] else np.hypot(z.real, z.imag)
+
+    names, available = point["observables"], _STATES[scenario][2]
+    return ["t_s", *names], np.column_stack([prop.times] + [column(available[c]) for c in names])
+
+
+_KS_KT = {"kappa_s": "kappa_s_per_s", "kappa_t": "kappa_t_per_s"}
+#: variant, the name of its ReactionModel factory -> the factory's keyword -> config key
+_REACTIONS = {"haberkorn": _KS_KT, "jones_hore": _KS_KT,
+              "generalized": {**_KS_KT, "kappa_st": "kappa_st_per_s"},
+              "dephasing_only": {"kappa_st": "kappa_d_per_s"}}
+_RATE_SCHEMA = {"kappa_s_per_s": (REQUIRED, _NUMBER), "kappa_t_per_s": (REQUIRED, _NUMBER),
+          "kappa_st_per_s": (0.0, _NUMBER), "kappa_d_per_s": (REQUIRED, _NUMBER)}
+#: PairHamiltonian keyword -> config key
+_PAIR_KEYS = {"omega_mean": "omega_mean_rad_s", "delta_omega": "delta_omega_rad_s",
+              "j_exchange": "j_exchange_rad_s"}
 _RP_COMMON = {
-    "omega_mean_rad_s": (0.0, _REAL),
-    "delta_omega_rad_s": (0.0, _REAL),
-    "j_exchange_rad_s": (0.0, _REAL),
+    **{key: (0.0, _NUMBER) for key in _PAIR_KEYS.values()},
     "initial_state": ("S", _one_of(_RP_STATES)),
     "time_grid": (REQUIRED, _TIME_GRID),
     "compute_yields": (True, _boolean),
-    "tau_c_s": (OPTIONAL, _POSITIVE),
+    "tau_c_s": (OPTIONAL, _POSITIVE),  # the validity check's: no constructor takes it
     "observables": (list(_RP_COLUMNS), _list_of(_one_of(_RP_COLUMNS), 1)),
 }
-_RADICAL_PAIR = _Tagged(
-    "variant", {variant: {**rates, **_RP_COMMON} for variant, (_, rates) in _REACTIONS.items()}
-)
+_RADICAL_PAIR = _Tagged("variant", {
+    variant: {**{key: _RATE_SCHEMA[key] for key in keys.values()}, **_RP_COMMON}
+    for variant, keys in _REACTIONS.items()
+})
 
 
-def _run_radical_pair(params: dict, seed, workers):
-    factory, rates = _REACTIONS[params["variant"]]
-    model = factory(*(params[key] for key in rates))
-    h = radical_pair.PairHamiltonian(
-        omega_mean=params["omega_mean_rad_s"],
-        delta_omega=params["delta_omega_rad_s"],
-        j_exchange=params["j_exchange_rad_s"],
-    )
+def _build_radical_pair(params: dict, seed):
+    factory = getattr(radical_pair.ReactionModel, params["variant"])
+    return dict(params, model=(_built(factory, params, _REACTIONS[params["variant"]]),
+                               _built(radical_pair.PairHamiltonian, params, _PAIR_KEYS)))
+
+
+def _radical_pair_results(point: dict, workers):
+    model, h = point["model"]
     fit = radical_pair.coherence_decay_rate(model, h)
-    rho0 = _initial_state("radical-pair", params["initial_state"])
     yields_block = None
-    if params["compute_yields"]:
+    if point["compute_yields"]:
+        rho0 = _initial_state("radical-pair", point["initial_state"])
         y = radical_pair.recombination_yields(model, h, rho0)
         yields_block = {"singlet": y.singlet, "triplet": y.triplet, "total": y.total}
-    series = _state_series(radical_pair.generator(model, h), rho0, params, _RP_COLUMNS)
-    tau_c = params.get("tau_c_s")
+    tau_c = point.get("tau_c_s")
     results = {
         "rate_elements": _rate_block(radical_pair.rate_elements(model)),
         "coherence": {
@@ -421,43 +423,29 @@ def _run_radical_pair(params: dict, seed, workers):
         "validity": _validity_block(tau_c, None if tau_c is None else br.validity_check(
             radical_pair.reaction_supermatrix(model), tau_c)),
     }
-    return results, series
+    return results, functools.partial(radical_pair.generator, model, h)
 
-
-# ---------------------------------------------------------------------------
-# radii scenario
-# ---------------------------------------------------------------------------
 
 _RADII = {
-    "d_cm": (REQUIRED, _POSITIVE),
-    "lambda0_cm": (REQUIRED, _POSITIVE),
-    "D_cm2_per_s": (REQUIRED, _POSITIVE),
-    "alpha_per_cm": (REQUIRED, _POSITIVE),
-    "J0_per_s": (REQUIRED, _REAL),
-    "kappa0_s_per_s": (REQUIRED, _NONNEGATIVE),
-    "kappa0_t_per_s": (REQUIRED, _NONNEGATIVE),
-    "Z_cm3": (OPTIONAL, _POSITIVE),
-    "Q_per_s": (OPTIONAL, _POSITIVE),
-    "tau_c_s": (OPTIONAL, _POSITIVE),
-    "lambda_amp_cm": (OPTIONAL, _NONNEGATIVE),
+    **{key: (REQUIRED, _NUMBER) for key in ("d_cm", "lambda0_cm", "D_cm2_per_s", "alpha_per_cm",
+                                            "J0_per_s", "kappa0_s_per_s", "kappa0_t_per_s")},
+    **{key: (OPTIONAL, _NUMBER) for key in ("Z_cm3", "Q_per_s", "tau_c_s", "lambda_amp_cm")},
+    # equal_radius_regime_check's: no constructor takes it
     "equal_radius_tolerance": (0.2, _NONNEGATIVE),
 }
+#: DiffusionParams keyword -> config key
+_RADII_KEYS = {"d": "d_cm", "lambda0": "lambda0_cm", "big_d": "D_cm2_per_s",
+               "alpha": "alpha_per_cm", "j0": "J0_per_s", "z_cage": "Z_cm3",
+               "kappa0_s": "kappa0_s_per_s", "kappa0_t": "kappa0_t_per_s", "q_spin": "Q_per_s",
+               "tau_c": "tau_c_s", "lambda_amp": "lambda_amp_cm"}
 
 
-def _run_radii(params: dict, seed, workers):
-    p = diffusion.DiffusionParams(
-        d=params["d_cm"],
-        lambda0=params["lambda0_cm"],
-        big_d=params["D_cm2_per_s"],
-        alpha=params["alpha_per_cm"],
-        j0=params["J0_per_s"],
-        z_cage=params.get("Z_cm3"),
-        kappa0_s=params["kappa0_s_per_s"],
-        kappa0_t=params["kappa0_t_per_s"],
-        q_spin=params.get("Q_per_s"),
-        tau_c=params.get("tau_c_s"),
-        lambda_amp=params.get("lambda_amp_cm"),
-    )
+def _build_radii(params: dict, seed):
+    return dict(params, model=_built(diffusion.DiffusionParams, params, _RADII_KEYS))
+
+
+def _radii_results(point: dict, workers):
+    p = point["model"]
     radii = diffusion.compute_radii(p)
     results = {
         "l_SS_cm": radii.l_ss,
@@ -478,110 +466,104 @@ def _run_radii(params: dict, seed, workers):
         sens = diffusion.recombination_sensitivity(p, radii.l_ss, radii.l_st)
         results["sensitivity_index"] = sens.value
         results["sensitivity_insensitive"] = sens.insensitive
-    report = diffusion.equal_radius_regime_check(p, tolerance=params["equal_radius_tolerance"])
-    results["equal_radius"] = {
-        "q_s": report.q_s,
-        "exchange_ratio": report.exchange_ratio,
-        "in_regime": report.in_regime,
-        "relative_gap": report.relative_gap,
-        "radii_match": report.radii_match,
-    }
+    report = diffusion.equal_radius_regime_check(p, tolerance=point["equal_radius_tolerance"])
+    results["equal_radius"] = {name: getattr(report, name) for name in (
+        "q_s", "exchange_ratio", "in_regime", "relative_gap", "radii_match")}
     results["validity"] = _validity_block(p.tau_c, validity)
     return results, None
 
 
-# ---------------------------------------------------------------------------
-# oracle scenario
-# ---------------------------------------------------------------------------
-
 _ORACLE = {
     "kind": (REQUIRED, _one_of([k.value for k in stochastic.NoiseKind])),
-    "variance_rad2_s2": (REQUIRED, _POSITIVE),
-    "tau_c_s": (REQUIRED, _POSITIVE),
-    "dt_s": (OPTIONAL, _POSITIVE),
-    "omega_s_rad_s": (REQUIRED, _REAL),
-    "omega0_rad_s": (0.0, _REAL),
-    "t_total_s": (OPTIONAL, _POSITIVE),
+    "variance_rad2_s2": (REQUIRED, _NUMBER),
+    "tau_c_s": (REQUIRED, _NUMBER),
+    "dt_s": (OPTIONAL, _NUMBER),
+    "omega_s_rad_s": (REQUIRED, _NUMBER),
+    "omega0_rad_s": (0.0, _NUMBER),
+    "t_total_s": (OPTIONAL, _NUMBER),
+    # the CLI's own bounds: the library checks n_spectrum_paths only once the
+    # spectrum's paths are drawn
     "n_traj": (10000, _integer(100, ORACLE_MAX_CELLS)),
     "n_spectrum_paths": (2000, _integer(stochastic.MIN_SPECTRUM_PATHS)),
 }
+#: NoiseProcess keyword -> config key
+_NOISE_KEYS = {"variance": "variance_rad2_s2", "tau_c": "tau_c_s", "dt": "dt_s"}
+#: closed_loop_check keyword -> config key
+_LOOP_KEYS = {"omega_s": "omega_s_rad_s", "omega0": "omega0_rad_s", "n_traj": "n_traj",
+              "n_spectrum_paths": "n_spectrum_paths"}
+#: oracle result key -> the attribute of the Monte Carlo rates that it reports
+_MC_RESULTS = {"w11_mc_per_s": "w11", "w11_mc_stderr_per_s": "w11_stderr", "w01_mc_per_s": "w01",
+               "w01_mc_stderr_per_s": "w01_stderr", "ratio_w01_w11": "ratio",
+               "ratio_stderr": "ratio_stderr", "ratio_ci95": "ratio_ci95",
+               "w11_from_delta_a_per_s": "w11_from_delta_a", "fit_window_s": "window"}
 
 
-def _oracle_setup(params: dict, seed: int):
-    """The noise process and the closed loop's duration, each checking the keys it
-    spans, once the run's largest array is known to fit ORACLE_MAX_CELLS: the
-    spectrum's paths, or one chunk of trajectories, over at least 60 tau_c."""
-    process = stochastic.NoiseProcess(
-        kind=stochastic.NoiseKind(params["kind"]),
-        variance=params["variance_rad2_s2"],
-        tau_c=params["tau_c_s"],
-        seed=seed,
-        dt=params.get("dt_s"),
-    )
-    duration = stochastic.closed_loop_duration(process, params.get("t_total_s"))
+def _build_oracle(params: dict, seed):
+    """The noise process, of ``seed`` or else 12345, and the closed loop's
+    duration, once the run's largest array is known to fit ORACLE_MAX_CELLS:
+    the spectrum's paths, or one chunk of trajectories, over at least 60 tau_c."""
+    process = _built(stochastic.NoiseProcess, params, _NOISE_KEYS,
+                     kind=stochastic.NoiseKind(params["kind"]),
+                     seed=seed if seed is not None else 12345)
+    duration = _built(stochastic.closed_loop_duration, params, {"duration": "t_total_s"},
+                      p=process)
     paths = max(params["n_spectrum_paths"], min(params["n_traj"], stochastic.CHUNK))
     steps = np.ceil(max(duration, 60.0 * process.tau_c) / process.dt) + 1  # a float: may be inf
     if paths * steps > ORACLE_MAX_CELLS:
         raise ConfigError(f"config.parameters: {paths} noise paths (n_spectrum_paths, or n_traj "
                           f"up to {stochastic.CHUNK}) of {steps:.12g} steps (dt_s) exceed "
                           f"{ORACLE_MAX_CELLS} float64 cells")
-    return process, duration
+    return dict(params, model=(process, duration))
 
 
-def _run_oracle(params: dict, seed, workers):
-    process, duration = _oracle_setup(params, seed if seed is not None else 12345)
-    chunks = math.ceil(params["n_traj"] / stochastic.CHUNK)
+def _oracle_results(point: dict, workers):
+    process, duration = point["model"]
+    chunks = math.ceil(point["n_traj"] / stochastic.CHUNK)
     with _task_map(min(workers, chunks)) as chunk_map:
         report = stochastic.closed_loop_check(
-            process,
-            omega_s=params["omega_s_rad_s"],
-            omega0=params["omega0_rad_s"],
-            duration=duration,
-            n_traj=params["n_traj"],
-            n_spectrum_paths=params["n_spectrum_paths"],
-            map=chunk_map,
-        )
-    run = report.run
-    rates = report.rates
-    results = {
-        "w11_mc_per_s": rates.w11,
-        "w11_mc_stderr_per_s": rates.w11_stderr,
-        "w01_mc_per_s": rates.w01,
-        "w01_mc_stderr_per_s": rates.w01_stderr,
-        "ratio_w01_w11": rates.ratio,
-        "ratio_stderr": rates.ratio_stderr,
-        "ratio_ci95": list(rates.ratio_ci95),
-        "w11_from_delta_a_per_s": rates.w11_from_delta_a,
-        "fit_window_s": list(rates.window),
+            process, duration=duration, map=chunk_map,
+            **{kw: point[key] for kw, key in _LOOP_KEYS.items()})
+    results = {key: getattr(report.rates, name) for key, name in _MC_RESULTS.items()}
+    results.update({
         "w11_assembled_per_s": report.w11_assembled,
         "relative_difference": report.relative_difference,
         "agrees_within_10pct": report.agrees_within_10pct,
         "validity": _validity_block(process.tau_c, report.validity),
-    }
+    })
+    return results, report.run
+
+
+def _oracle_series(point: dict, run):
     z = run.rho01  # hypot, not np.abs: it rounds exactly like Python's abs(complex)
     table = np.column_stack(
         [run.times, run.rho11, np.hypot(z.real, z.imag), 2.0 * run.delta_a_mean.real]
     )
-    return results, (["t_s", "rho_11", "abs_rho_01", "two_re_delta_a"], table)
+    return ["t_s", "rho_11", "abs_rho_01", "two_re_delta_a"], table
 
 
 class _Scenario(NamedTuple):
-    """A scenario's parameters schema, its runner(params, seed, workers), its
-    check of the keys that span each other, and whether the runner reads a
-    seed: a sweep derives point seeds only for a scenario that does."""
+    """A scenario's stages, in the order they run. ``build(params, seed)`` makes
+    the library objects, whose constructors check every range the ``schema``
+    leaves out, and returns the point the later stages read: the checked
+    parameters plus ``model``, those objects. ``results(point, workers)`` gives
+    the results block and what ``series(point, carried)`` reads; that returns
+    the time series (columns, table), and is None where there is none.
+    ``seeded``: the build reads a seed, so a sweep derives one per point."""
 
     schema: object
-    runner: object
-    cross_check: object = None
+    build: object
+    results: object
+    series: object = None
     seeded: bool = False
 
 
 _RUNNERS = {
-    "three-state": _Scenario(_THREE_STATE, _run_three_state),
-    "radical-pair": _Scenario(_RADICAL_PAIR, _run_radical_pair),
-    "radii": _Scenario(_RADII, _run_radii),
-    "oracle": _Scenario(_ORACLE, _run_oracle, lambda params: _oracle_setup(params, 0),
-                        seeded=True),
+    "three-state": _Scenario(_THREE_STATE, _build_three_state, _three_state_results,
+                             functools.partial(_state_series, "three-state")),
+    "radical-pair": _Scenario(_RADICAL_PAIR, _build_radical_pair, _radical_pair_results,
+                              functools.partial(_state_series, "radical-pair")),
+    "radii": _Scenario(_RADII, _build_radii, _radii_results),
+    "oracle": _Scenario(_ORACLE, _build_oracle, _oracle_results, _oracle_series, seeded=True),
 }
 
 
@@ -615,30 +597,24 @@ def _load_config(args) -> dict:
     return doc
 
 
-def _check_parameters(scenario: str, block):
-    """Check a run's or a sweep point's parameters by the scenario's schema, then
-    by its check of the keys that span each other: (the block as given plus its
-    static defaults, the checked values). Values derived from others (the
-    Lorentzian's tau_c, say) are left out of the first, which a summary records."""
+def _check_parameters(scenario: str, block, seed):
+    """A run's or a sweep point's parameters checked by the scenario's schema
+    and built with ``seed``: (the block as given plus its static defaults, which
+    a summary records, the built point)."""
     entry = _RUNNERS[scenario]
     given, checked = _block(entry.schema, block, "config.parameters")
-    if entry.cross_check is not None:
-        entry.cross_check(checked)
-    return given, checked
+    return given, entry.build(checked, seed)
 
 
 def _set_dotted(params: dict, dotted: str, value) -> dict:
-    keys = dotted.split(".")
-    out = dict(params)
-    node = out
-    for k in keys[:-1]:
-        child = node.get(k)
-        if not isinstance(child, dict):
+    """A copy of ``params`` with the key at the dotted path set to ``value``."""
+    *path, last = dotted.split(".")
+    out = node = dict(params)
+    for k in path:
+        if not isinstance(node.get(k), dict):
             raise ConfigError(f"grid key {dotted!r} does not address a parameter block")
-        child = dict(child)
-        node[k] = child
-        node = child
-    node[keys[-1]] = value
+        node[k] = node = dict(node[k])  # a copy, set in its parent copy
+    node[last] = value
     return out
 
 
@@ -648,7 +624,7 @@ def _flatten(results: dict, prefix: str = "") -> dict:
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             flat.update(_flatten(value, f"{name}."))
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             for i, v in enumerate(value):
                 flat[f"{name}[{i}]"] = v
         else:
@@ -730,20 +706,27 @@ def _task_map(workers: int, chunksize: int = 1):
         yield functools.partial(pool.map, chunksize=chunksize)
 
 
-def _run_point(scenario: str, params: dict, seed, workers: int = 1):
-    """Execute one scenario evaluation in at most ``workers`` processes: one for
-    a sweep point, so that pools never nest."""
-    return _RUNNERS[scenario].runner(params, seed, workers)
+def _run_point(scenario: str, point: dict, seed, workers: int = 1):
+    """Run a point's results stage in at most ``workers`` processes (one for a
+    sweep point, so that pools never nest): (its results, its series stage as
+    a function of nothing, or None). ``seed``, None for a scenario that reads
+    none, is the one the point was built with, and its model holds it."""
+    entry = _RUNNERS[scenario]
+    results, carried = entry.results(point, workers)
+    return results, entry.series and functools.partial(entry.series, point, carried)
 
 
 def _checked_config(doc: dict, *, sweep: bool):
-    """(inputs, run parameters or sweep tasks): every check, grid points included."""
+    """(inputs, tasks): every check made and every point built, before any work.
+    A run is a one-point grid: its one task sets no grid key and has the run's
+    own seed."""
     schema = {**_CONFIG, "grid": (REQUIRED, _grid)} if sweep else _CONFIG
     inputs = _block(schema, doc, "config")[0]
     if sweep:
         return inputs, list(_sweep_tasks(inputs))
-    inputs["parameters"], params = _check_parameters(inputs["scenario"], inputs["parameters"])
-    return inputs, params
+    scenario, seed = inputs["scenario"], inputs.get("seed")
+    inputs["parameters"], point = _check_parameters(scenario, inputs["parameters"], seed)
+    return inputs, [(scenario, {}, point, seed)]
 
 
 def _out_dir(config: dict) -> Path:
@@ -758,24 +741,24 @@ def _out_dir(config: dict) -> Path:
 
 def cmd_run(args) -> int:
     started = time.monotonic()
-    config, params = _checked_config(_load_config(args), sweep=False)
+    config, [(scenario, _, point, seed)] = _checked_config(_load_config(args), sweep=False)
     out_dir = _out_dir(config)
-    results, series = _run_point(config["scenario"], params, config.get("seed"), _cpus())
+    results, series = _run_point(scenario, point, seed, _cpus())
     if series is not None:
         fmt = config["output"]["format"]
-        _write_text(out_dir / f"timeseries.{fmt}", _series_pieces(*series, fmt))
+        _write_text(out_dir / f"timeseries.{fmt}", _series_pieces(*series(), fmt))
     _write_summary(out_dir, config, results, started)
     return EXIT_OK
 
 
 def _sweep_tasks(config: dict):
-    """Grid points as ``_sweep_worker`` tasks: (scenario, point, checked parameters, seed).
+    """Grid points as ``_sweep_worker`` tasks: (scenario, point, built point, seed).
 
-    Each point is laid over the ``parameters`` block as given and checked
-    once, on its own, so the block may leave out keys the grid sets, and
-    values derived from swept keys follow the grid. A point's seed is
+    Each point is laid over the ``parameters`` block as given, then checked
+    and built once, on its own, so the block may leave out keys the grid sets,
+    and values derived from swept keys follow the grid. A point's seed is
     SeedSequence((master seed, index)), so no stream is shared, for a scenario
-    whose runner reads one; None for the others.
+    whose build reads one; None for the others.
     """
     grid = config["grid"]
     keys = sorted(grid)
@@ -786,19 +769,23 @@ def _sweep_tasks(config: dict):
         params = config["parameters"]
         for key, value in point.items():
             params = _set_dotted(params, key, value)
-        try:
-            _, checked = _check_parameters(config["scenario"], params)
-        except ValidationError as exc:
-            raise ConfigError(f"grid point {point}: {exc}") from None
         seed = (int(np.random.SeedSequence((base_seed, index)).generate_state(1)[0])
                 if seeded else None)
-        yield config["scenario"], point, checked, seed
+        try:
+            _, built = _check_parameters(config["scenario"], params, seed)
+        except ValidationError as exc:
+            raise ConfigError(f"grid point {point}: {exc}") from None
+        yield config["scenario"], point, built, seed
 
 
-def _sweep_worker(task):
-    scenario, point, params, seed = task
+def _sweep_worker(task, series: bool):
+    """A sweep point's results. Its series stage runs too when ``series``,
+    though no sweep writes a series."""
+    scenario, point, built, seed = task
     try:
-        results, _ = _run_point(scenario, params, seed)
+        results, stage = _run_point(scenario, built, seed)
+        if series and stage is not None:
+            stage()
     except SpinKineticsError as exc:  # same class, so the same exit code
         raise type(exc)(f"grid point {point}: {exc}") from None
     return results
@@ -811,10 +798,13 @@ def cmd_sweep(args) -> int:
     cpus = _cpus()
     # a fork pool starts every worker at once, however few points there are
     workers = min(args.workers or cpus, len(tasks), cpus)
+    # the series stage still runs: the traced sweep of bench/run.py requires
+    # propagate to fire
+    worker = functools.partial(_sweep_worker, series=True)
     # multiprocessing.Pool's default: about four chunks per worker, not one
     # round trip per point
     with _task_map(workers, max(1, len(tasks) // (4 * workers))) as point_map:
-        all_results = list(point_map(_sweep_worker, tasks))
+        all_results = list(point_map(worker, tasks))
 
     grid_keys = sorted(config["grid"])
     flat_rows = [_flatten(r) for r in all_results]
@@ -823,7 +813,7 @@ def cmd_sweep(args) -> int:
     keys = set().union(*flat_rows)
     value_keys = sorted(k for k in keys if not any(o.startswith((k + ".", k + "[")) for o in keys))
     rows = ([_fmt(combo[k]) for k in grid_keys] + [_fmt(flat.get(k)) for k in value_keys]
-            for (_scenario, combo, _params, _seed), flat in zip(tasks, flat_rows))
+            for (_scenario, combo, _point, _seed), flat in zip(tasks, flat_rows))
     _write_text(out_dir / "sweep.csv", _csv_text(itertools.chain([grid_keys + value_keys], rows)))
     _write_summary(out_dir, config, {"n_points": len(tasks)}, started)
     return EXIT_OK

@@ -2,7 +2,8 @@
 of every scalar library input, made where it enters. NaN and -inf never pass;
 +inf passes only where it is a documented limit: the inverse temperature beta
 (the irreversible limit) and the contact reactivity kappa0 (where the reaction
-radius saturates at the contact distance)."""
+radius saturates at the contact distance). A count must be an integer, numpy's
+included."""
 
 import math
 
@@ -31,10 +32,14 @@ class NonDecayingGeneratorError(NumericalError):
     """The generator has non-decaying modes; infinite-time integrals diverge."""
 
 
-def checked(name: str, value, low=-math.inf, *, strict: bool = False, infinite: bool = False):
+def checked(name: str, value, low=-math.inf, *, strict: bool = False, infinite: bool = False,
+            integer: bool = False):
     """``value`` if it is finite and at least ``low`` (above it when ``strict``),
-    or +inf when ``infinite``; else a ValidationError naming ``name`` and the
-    value. Every comparison with NaN is false, so NaN never passes."""
+    or +inf when ``infinite``, and an integer when ``integer``; else a
+    ValidationError naming ``name`` and the value. Every comparison with NaN is
+    false, so NaN never passes."""
+    if integer and not hasattr(type(value), "__index__"):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     if (value > low if strict else value >= low) and -math.inf < value and (
             infinite or value < math.inf):
         return value

@@ -9,7 +9,8 @@ Conventions shared by the whole package:
   values safe to share between parameter-sweep workers;
 * a value is checked once, where it enters the package: at the public
   constructors and functions, each scalar by ``errors.checked`` (NaN never
-  passes, +inf only for beta and kappa0), and at the CLI schema. Package code
+  passes, +inf only for beta and kappa0); the CLI builds its inputs through
+  those constructors, and its schema checks types and sizes. Package code
   that derives one checked value from another (a matrix Hermitian by
   construction, a relabelled coupling, a generator summed from checked parts)
   does not check it again.
@@ -569,11 +570,14 @@ def infinite_time_integral(l: Superoperator, rho0: DensityMatrix) -> OperatorMat
     v0 = vectorize(rho0.entries)
     with one_thread(n * n):
         norm = _spectral_norm(g, n, real)
-        eigs = np.linalg.eigvals(g)
-        if norm == 0.0 or eigs.real.max() >= -DECAY_MARGIN * norm:
+        slowest = np.linalg.eigvals(g).real.max()
+        if slowest >= -DECAY_MARGIN * norm:  # so also when norm == 0
             raise NonDecayingGeneratorError(
                 "generator has non-decaying modes "
-                f"(max Re eigenvalue {eigs.real.max():.3e} vs norm {norm:.3e})"
+                f"(max Re eigenvalue {slowest:.3e} vs norm {norm:.3e})" if slowest >= 0 else
+                f"generator's slowest mode decays at {slowest:.3e}, inside the margin band "
+                f"[{-DECAY_MARGIN * norm:.3e}, 0) of DECAY_MARGIN = {DECAY_MARGIN:g} "
+                f"times its norm {norm:.3e}"
             )
         x = np.linalg.solve(-g, _real_coordinates(v0, n) if real else v0)
     xm = _coordinate_states(x, n)[0] if real else _hermitised(unvectorize(x, n))

@@ -136,8 +136,8 @@ class ReactionModel:
         return cls(kappa_s, kappa_t, kappa_s + kappa_t, ReactionVariant.JONES_HORE)
 
     @classmethod
-    def dephasing_only(cls, kappa_d: float) -> "ReactionModel":
-        return cls(0.0, 0.0, kappa_d, ReactionVariant.DEPHASING_ONLY)
+    def dephasing_only(cls, kappa_st: float) -> "ReactionModel":
+        return cls(0.0, 0.0, kappa_st, ReactionVariant.DEPHASING_ONLY)
 
 
 def reaction_supermatrix(m: ReactionModel) -> Superoperator:

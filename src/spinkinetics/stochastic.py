@@ -79,9 +79,9 @@ class NoiseProcess:
     dt: Optional[float] = None
 
     def __post_init__(self):
-        checked("noise variance", self.variance, 0, strict=True)
+        checked("variance", self.variance, 0, strict=True)
         checked("tau_c", self.tau_c, 0, strict=True)
-        checked("seed", self.seed, 0)
+        checked("seed", self.seed, 0, integer=True)
         dt = checked("dt", self.dt if self.dt is not None else self.tau_c / 20.0, 0, strict=True)
         if dt > self.tau_c / 20.0 * (1 + 1e-12):
             raise ValidationError("dt must not exceed tau_c / 20")
@@ -173,8 +173,8 @@ def simulate_noise(
     by block, so no second path-sized array is made.
     """
     checked("duration", duration, 10.0 * p.tau_c, strict=True)
-    checked("n_paths", n_paths, 1)
-    checked("stream", stream, 0)
+    checked("n_paths", n_paths, 1, integer=True)
+    checked("stream", stream, 0, integer=True)
     n_steps = int(math.ceil(duration / p.dt - 1e-9))
     values = np.empty((n_paths, n_steps + 1))
     for i, size in enumerate(_chunk_sizes(n_paths)):
@@ -409,7 +409,7 @@ def perturbative_amplitudes(
     in chunk order, so every cell gets the same additions in the same order
     whatever the map: the result does not depend on it, bit for bit.
     """
-    checked("n_traj", n_traj, 1)
+    checked("n_traj", n_traj, 1, integer=True)
     checked("omega_s", omega_s)
     checked("omega0", omega0)
     _check_perturbative_window(p, duration)

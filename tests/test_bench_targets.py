@@ -34,7 +34,10 @@ def test_traced_target_resolves_to_a_package_attribute(target):
     assert callable(owner)
 
 
-@pytest.mark.parametrize("workload", ["spin-ladder", "three-state-sweep"])
+# the oracle and radical-pair runs are the only ones that reach the stochastic
+# and radical_pair layers through the CLI
+@pytest.mark.parametrize("workload", ["spin-ladder", "three-state-sweep", "oracle-run",
+                                      "radical-pair-run"])
 def test_a_short_traced_run_fires_every_expected_layer(workload):
     done = subprocess.run([sys.executable, str(BENCH / "run.py"), "--workload", workload,
                            "--seed", "1", "--seconds", "1", "--trace", "1"],

@@ -437,6 +437,76 @@ class TestRejections:
         assert not out.exists()
 
 
+def with_value(config, dotted, value):
+    """A copy of ``config`` with the parameter at the dotted path set to ``value``."""
+    config = copy.deepcopy(config)
+    *path, last = dotted.split(".")
+    node = config["parameters"]
+    for key in path:
+        node = node[key]
+    node[last] = value
+    return config
+
+
+DEPHASING_ONLY = {"scenario": "radical-pair", "parameters": {
+    "variant": "dephasing_only", "kappa_d_per_s": 1.0, "compute_yields": False,
+    "time_grid": {"t_max_s": 1.0, "n_points": 5}}}
+WHITE = with_params("three-state", spectral_density={"form": "white", "level_rad2_per_s": 1.0})
+#: (config, numeric key, a value just outside the bound of the library input or
+#: the CLI size it sets, the key the message names when not that key)
+JUST_OUTSIDE = [
+    (VALID["three-state"], "omega_s_rad_s", 0.0, None),
+    (VALID["three-state"], "beta_s", -1.0, None),
+    (VALID["three-state"], "spectral_density.lambda_c_rad2_s2", -1.0, None),
+    (VALID["three-state"], "spectral_density.tau_c_s", 0.0, None),
+    (WHITE, "spectral_density.level_rad2_per_s", -1.0, None),
+    # a Tabulated spectrum checks its lists as one, so its message names the block
+    (VALID["three-state"], "splitting_density.values_rad2_per_s", [-1.0, 2e6],
+     "splitting_density"),
+    (VALID["three-state"], "tau_c_s", 0.0, None),
+    (VALID["three-state"], "time_grid.t_max_s", 0.0, None),
+    (VALID["three-state"], "time_grid.n_points", 1, None),
+    (VALID["radical-pair"], "kappa_s_per_s", -1.0, None),
+    (VALID["radical-pair"], "kappa_t_per_s", -1.0, None),
+    (VALID["radical-pair"], "kappa_st_per_s", -1.0, None),
+    (DEPHASING_ONLY, "kappa_d_per_s", -1.0, None),
+    (VALID["radical-pair"], "tau_c_s", 0.0, None),
+    (VALID["radical-pair"], "time_grid.t_max_s", 0.0, None),
+    *((VALID["radii"], key, 0.0, None) for key in (
+        "d_cm", "lambda0_cm", "D_cm2_per_s", "alpha_per_cm", "Z_cm3", "Q_per_s", "tau_c_s")),
+    *((VALID["radii"], key, -1.0, None) for key in (
+        "kappa0_s_per_s", "kappa0_t_per_s", "lambda_amp_cm", "equal_radius_tolerance")),
+    *((VALID["oracle"], key, 0.0, None) for key in (
+        "variance_rad2_s2", "tau_c_s", "dt_s", "t_total_s")),
+    (VALID["oracle"], "n_traj", 99, None),
+    (VALID["oracle"], "n_spectrum_paths", 999, None),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("config, key, value, named", JUST_OUTSIDE,
+                         ids=[f"{c['scenario']}-{k}" for c, k, _, _ in JUST_OUTSIDE])
+def test_a_value_just_outside_its_bound_exits_3_naming_its_key(
+    tmp_path, monkeypatch, capsys, command, config, key, value, named
+):
+    calls = []
+    monkeypatch.setattr(cli, "_run_point", lambda *a: calls.append(a))
+    if command == "run":
+        config = with_value(config, key, value)
+    else:  # the value as a sweep grid point
+        config = dict(copy.deepcopy(config), grid={key: [value]})
+    cfg = write_config(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out-dir", str(out)]) == EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "validation"
+    assert f"config.parameters.{named or key}" in error["message"]
+    assert error["message"].startswith("grid point " if command == "sweep" else "config.")
+    assert calls == []
+    assert not out.exists()
+
 #: an oracle step at which 60 tau_c is exactly 2**15 steps, so that a chunk of
 #: 2048 trajectories over 2**15 + 1 points is the first to exceed 2**26 cells
 FINE_STEP = 6e-12 / 2**15
@@ -697,7 +767,8 @@ class TestSweep:
         assert main(["sweep", cfg, "--out-dir", str(out), "--workers", "1"]) == EXIT_VALIDATION
         err = json.loads(capsys.readouterr().err.strip())
         assert err["message"] == (
-            "grid point {'omega_s_rad_s': 500000000.0}: config.parameters.beta_s must be >= 0.0"
+            "grid point {'omega_s_rad_s': 500000000.0}: "
+            "config.parameters.beta_s must be finite and >= 0 or +inf, got -1.0"
         )
         assert calls == []
         assert not out.exists()

@@ -3,7 +3,8 @@
 NaN and -inf never pass; +inf passes only where it is a documented limit: the
 inverse temperature beta and the contact reactivity kappa0. Each case below
 once returned a NaN result, or failed with an error outside the package's
-classes, or named the wrong input, or was checked only at a later use.
+classes, or named the wrong input, or was checked only at a later use, or was
+a count that took a float.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 
 from spinkinetics import (
     BathSpec,
+    CouplingOperator,
     DensityMatrix,
     DiffusionParams,
     Lorentzian,
@@ -91,6 +93,18 @@ HOLES = [
                  id="projection_limit_deviation"),
     # a check made only at a later use
     pytest.param("tau_c", lambda: diffusion(tau_c=-1.0), id="DiffusionParams-tau_c"),
+    # counts that were not type-checked: constructed, a builtin or numpy
+    # TypeError, or silently truncated
+    pytest.param("seed", lambda: NoiseProcess(NoiseKind.ORNSTEIN_UHLENBECK, variance=1e18,
+                                              tau_c=TAU, seed=1.5), id="NoiseProcess-seed"),
+    pytest.param("n_paths", lambda: simulate_noise(noise(), 2e-12, n_paths=1.5),
+                 id="simulate_noise-n_paths"),
+    pytest.param("stream", lambda: simulate_noise(noise(), 2e-12, stream=0.5),
+                 id="simulate_noise-stream-float"),
+    pytest.param("n_traj", lambda: perturbative_amplitudes(noise(), 0.0, 40 * TAU, 2.5),
+                 id="perturbative_amplitudes-n_traj"),
+    pytest.param("spectral_index", lambda: CouplingOperator("x", COUPLINGS["x"].matrix, 0.5),
+                 id="CouplingOperator-spectral_index"),
 ]
 
 
@@ -98,6 +112,14 @@ HOLES = [
 def test_each_hole_raises_a_package_error_naming_the_input(name, call):
     with pytest.raises(SpinKineticsError, match=name):
         call()
+
+
+def test_numpy_integers_pass_as_counts():
+    one, two = np.int64(1), np.uint8(2)
+    p = NoiseProcess(NoiseKind.ORNSTEIN_UHLENBECK, variance=1e18, tau_c=TAU, seed=one)
+    assert simulate_noise(p, 2e-12, n_paths=two, stream=one).n_paths == 2
+    assert perturbative_amplitudes(p, 0.0, 40 * TAU, np.int32(4)).n_batches == 4
+    assert CouplingOperator("x", COUPLINGS["x"].matrix, two).spectral_index == 2
 
 
 def test_infinite_beta_and_kappa0_keep_their_limits():

@@ -514,6 +514,21 @@ class TestInfiniteTimeIntegral:
         with pytest.raises(NonDecayingGeneratorError):
             infinite_time_integral(gen, DensityMatrix.basis_state(B3, "0"))
 
+    @pytest.mark.parametrize("slowest, message", [
+        # stiff but decaying: the slowest mode sits inside -DECAY_MARGIN * ||L|| = -100
+        (-1.9, r"^generator's slowest mode decays at -1\.900e\+00, inside the margin band "
+               r"\[-1\.000e\+02, 0\) of DECAY_MARGIN = 1e-12 times its norm 1\.000e\+14$"),
+        (0.0, r"^generator has non-decaying modes \(max Re eigenvalue 0\.000e\+00 "
+              r"vs norm 1\.000e\+14\)$"),
+        (2.0, r"^generator has non-decaying modes \(max Re eigenvalue 2\.000e\+00 "),
+    ], ids=["inside-the-margin", "zero", "growing"])
+    def test_a_rejected_generator_names_why(self, slowest, message):
+        rates = np.full(9, -1e14)
+        rates[B3.vec_index("0", "0")] = slowest  # one population, beside fast rates
+        gen = Superoperator(B3, np.diag(rates))
+        with pytest.raises(NonDecayingGeneratorError, match=message):
+            infinite_time_integral(gen, DensityMatrix.basis_state(B3, "0"))
+
     def test_matches_quadrature(self):
         from scipy.integrate import simpson
 
